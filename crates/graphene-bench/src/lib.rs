@@ -7,6 +7,5 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod emit;
 pub mod figures;
 pub mod report;

@@ -19,8 +19,8 @@
 
 use graphene_ir::{Arch, Kernel};
 use graphene_sim::{
-    analyze, execute_graph, execute_plan, execute_reference, machine_for, replay_graph, replay_opt,
-    time_kernel, ExecMode, GraphTraceCache, HostTensor, KernelPlan, OptStats, TraceCache, TraceKey,
+    analyze, execute_graph, machine_for, seeded_externals, seeded_inputs, time_kernel, Engine,
+    ExecMode, GraphTraceCache, KernelPlan, OptStats, TraceCache, TraceKey,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -97,11 +97,7 @@ impl Cli {
     }
 
     fn arch(&self) -> Result<Arch, CliError> {
-        match self.options.get("arch").map(String::as_str) {
-            None | Some("sm86") | Some("ampere") => Ok(Arch::Sm86),
-            Some("sm70") | Some("volta") => Ok(Arch::Sm70),
-            Some(other) => Err(CliError(format!("unknown arch `{other}` (sm70|sm86)"))),
-        }
+        Arch::parse(self.options.get("arch").map(String::as_str)).map_err(CliError)
     }
 
     fn emit(&self) -> Result<Emit, CliError> {
@@ -260,7 +256,8 @@ fn lint(cli: &Cli) -> Result<String, CliError> {
 
 /// The `run` sub-command: execute a kernel on the functional simulator
 /// with seeded random inputs and report wall time, counters, and an
-/// output checksum (identical across all three engines by construction).
+/// output checksum and hash (identical across all engines by
+/// construction).
 fn exec_run(cli: &Cli) -> Result<String, CliError> {
     let Some(name) = cli.positional.first() else {
         return Err(CliError(
@@ -268,95 +265,52 @@ fn exec_run(cli: &Cli) -> Result<String, CliError> {
         ));
     };
     let (arch, kernel) = build_named_kernel(cli, name)?;
-    #[derive(PartialEq)]
-    enum Engine {
-        Reference,
-        Plan(ExecMode),
-        Replay,
-    }
-    let engine = match cli.options.get("exec").map(String::as_str) {
-        None | Some("parallel") => Engine::Plan(ExecMode::Parallel),
-        Some("sequential") => Engine::Plan(ExecMode::Sequential),
-        Some("reference") => Engine::Reference,
-        Some("replay") => Engine::Replay,
-        Some(other) => {
-            return Err(CliError(format!(
-                "unknown exec mode `{other}` (reference|sequential|parallel|replay)"
-            )))
-        }
-    };
+    let engine = Engine::parse(cli.options.get("exec").map(String::as_str)).map_err(CliError)?;
     let plan = KernelPlan::compile(&kernel, arch).map_err(|e| CliError(e.to_string()))?;
-    let mut inputs = HashMap::new();
-    for (i, (id, _, len)) in plan.params().iter().enumerate() {
-        inputs.insert(*id, HostTensor::random(&[*len], 1000 + i as u64).as_slice().to_vec());
-    }
-    let bindings = HashMap::new();
-    // Replay: record once into a trace cache, then serve two replay
-    // requests from it — the second cache lookup and the reported
-    // hit/re-interpretation stats demonstrate the record-once contract.
-    let mut trace_line = None;
-    let mut opt_line = None;
-    let mut cache_line = None;
+    let inputs = seeded_inputs(plan.params());
+    let cache = TraceCache::new();
+    let key = TraceKey {
+        kernel: kernel.name.clone(),
+        problem: format!("{} blocks x {} threads", plan.grid_size(), plan.block_size()),
+        arch,
+    };
+    // Replay: record once into the trace cache, then let the engine
+    // serve the run from it — its cache hit and the reported
+    // re-interpretation count demonstrate the record-once contract.
+    let mut replay_lines = Vec::new();
     let start = std::time::Instant::now();
-    let outcome = match &engine {
-        Engine::Plan(m) => execute_plan(&plan, &inputs, &bindings, *m),
-        Engine::Reference => execute_reference(&kernel, arch, &inputs),
-        Engine::Replay => {
-            let cache = TraceCache::new();
-            let key = TraceKey {
-                kernel: kernel.name.clone(),
-                problem: format!("{} blocks x {} threads", plan.grid_size(), plan.block_size()),
-                arch,
-            };
-            let t0 = std::time::Instant::now();
-            let trace =
-                cache.get_or_record(&key, &plan, &bindings).map_err(|e| CliError(e.to_string()))?;
-            let record_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let st = trace.stats();
-            trace_line = Some(format!(
-                "trace    : {} steps, {} residual addresses, recorded in {record_ms:.3} ms",
-                trace.num_steps(),
-                trace.num_addrs()
-            ));
-            opt_line = Some(opt_stats_line(st));
-            let trace =
-                cache.get_or_record(&key, &plan, &bindings).map_err(|e| CliError(e.to_string()))?;
-            let first = replay_opt(&trace, &inputs);
-            let second = replay_opt(&trace, &inputs);
-            cache_line = Some(format!(
-                "trace-cache : {} recording(s), {} hit(s), re-interpretations : {}",
-                cache.recordings(),
-                cache.hits(),
-                cache.recordings().saturating_sub(1)
-            ));
-            first.and(second)
-        }
+    if engine == Engine::Replay {
+        let t0 = std::time::Instant::now();
+        let trace = cache
+            .get_or_record(&key, &plan, &HashMap::new())
+            .map_err(|e| CliError(e.to_string()))?;
+        let record_ms = t0.elapsed().as_secs_f64() * 1e3;
+        replay_lines.push(format!(
+            "trace    : {} steps, {} residual addresses, recorded in {record_ms:.3} ms",
+            trace.num_steps(),
+            trace.num_addrs()
+        ));
+        replay_lines.push(opt_stats_line(trace.stats()));
     }
-    .map_err(|e| CliError(e.to_string()))?;
+    let (outcome, _) = engine
+        .execute(Some(&kernel), &plan, &cache, &key, &inputs)
+        .map_err(|e| CliError(e.to_string()))?;
     let wall = start.elapsed().as_secs_f64();
-    let checksum: f64 =
-        outcome.globals.values().flat_map(|buf| buf.iter()).map(|&x| f64::from(x)).sum();
+    if engine == Engine::Replay {
+        replay_lines.push(format!(
+            "trace-cache : {} recording(s), {} hit(s), re-interpretations : {}",
+            cache.recordings(),
+            cache.hits(),
+            cache.recordings().saturating_sub(1)
+        ));
+    }
+    let digest = outcome.digest();
     let c = &outcome.counters;
     let mut out = String::new();
     let _ = writeln!(out, "kernel   : {}", kernel.name);
-    let _ = writeln!(
-        out,
-        "engine   : {}",
-        match &engine {
-            Engine::Reference => "reference interpreter",
-            Engine::Plan(ExecMode::Sequential) => "compiled (sequential) interpreter",
-            Engine::Plan(_) => "compiled (parallel) interpreter",
-            Engine::Replay => "trace replay",
-        }
-    );
+    let _ = writeln!(out, "engine   : {}", engine.label());
     let _ = writeln!(out, "launch   : {} blocks x {} threads", plan.grid_size(), plan.block_size());
-    if let Some(l) = &trace_line {
-        let _ = writeln!(out, "{l}");
-    }
-    if let Some(l) = &opt_line {
-        let _ = writeln!(out, "{l}");
-    }
-    if let Some(l) = &cache_line {
+    for l in &replay_lines {
         let _ = writeln!(out, "{l}");
     }
     let _ = writeln!(out, "wall     : {:.3} ms", wall * 1e3);
@@ -370,7 +324,8 @@ fn exec_run(cli: &Cli) -> Result<String, CliError> {
         "traffic  : {} B global read, {} B global written, {} smem transactions",
         c.global_read_bytes, c.global_write_bytes, c.smem_transactions
     );
-    let _ = writeln!(out, "checksum : {checksum:.6}");
+    let _ = writeln!(out, "checksum : {:.6}", digest.checksum);
+    let _ = writeln!(out, "hash     : {:016x}", digest.hash);
     Ok(out)
 }
 
@@ -412,11 +367,8 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
         Some("default") => ExecLowering::Default,
         Some(other) => return Err(CliError(format!("unknown lowering `{other}` (default|fused)"))),
     };
-    let replay_engine = match cli.options.get("exec").map(String::as_str) {
-        None | Some("plan") => false,
-        Some("replay") => true,
-        Some(other) => return Err(CliError(format!("unknown exec mode `{other}` (plan|replay)"))),
-    };
+    let engine =
+        Engine::parse_graph(cli.options.get("exec").map(String::as_str)).map_err(CliError)?;
     let json = match cli.options.get("emit").map(String::as_str) {
         None | Some("text") => false,
         Some("json") => true,
@@ -427,17 +379,7 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
     let eg = lower_executable(&graph, arch, lowering).map_err(CliError)?;
     let ws = eg.workspace();
 
-    let mut inputs = HashMap::new();
-    for (i, (name, len)) in eg.externals().iter().enumerate() {
-        inputs
-            .insert(name.clone(), HostTensor::random(&[*len], 1000 + i as u64).as_slice().to_vec());
-    }
-
-    let checksum = |o: &GraphOutcomeOutputs| -> f64 {
-        let mut temps: Vec<_> = o.iter().collect();
-        temps.sort_by_key(|(t, _)| **t);
-        temps.iter().flat_map(|(_, buf)| buf.iter()).map(|&x| f64::from(x)).sum()
-    };
+    let inputs = seeded_externals(&eg);
 
     // Execute first, collecting everything both renderings need; the
     // replay path also captures cache counters and the bit-comparison.
@@ -451,24 +393,29 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
         opt: OptStats,
         same: bool,
     }
+    let traces = TraceCache::new();
+    let graphs = GraphTraceCache::new();
     let start = std::time::Instant::now();
-    let (outcome, replay_info) = if replay_engine {
-        let traces = TraceCache::new();
-        let graphs = GraphTraceCache::new();
+    // Replay records first so the report can describe the trace; the
+    // engine's run is then a graph-cache hit — the record-once
+    // contract made visible.
+    let recorded = if engine == Engine::Replay {
         let t0 = std::time::Instant::now();
-        graphs.get_or_record(&eg, &traces).map_err(|e| CliError(e.to_string()))?;
-        let record_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // A second request must come back from the cache: the printed
-        // hit count is the record-once contract made visible.
         let gt = graphs.get_or_record(&eg, &traces).map_err(|e| CliError(e.to_string()))?;
-        let t1 = std::time::Instant::now();
-        let replayed =
-            replay_graph(&gt, &inputs, ExecMode::Parallel).map_err(|e| CliError(e.to_string()))?;
-        let replay_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let plan_out =
-            execute_graph(&eg, &inputs, ExecMode::Parallel).map_err(|e| CliError(e.to_string()))?;
-        let same = {
-            let b = |o: &GraphOutcomeOutputs| -> Vec<Vec<u32>> {
+        Some((gt, t0.elapsed().as_secs_f64() * 1e3))
+    } else {
+        None
+    };
+    let t1 = std::time::Instant::now();
+    let (outcome, _) = engine
+        .execute_graph(&eg, &graphs, &traces, &inputs)
+        .map_err(|e| CliError(e.to_string()))?;
+    let run_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let replay_info = match recorded {
+        Some((gt, record_ms)) => {
+            let plan_out = execute_graph(&eg, &inputs, ExecMode::Parallel)
+                .map_err(|e| CliError(e.to_string()))?;
+            let bits = |o: &HashMap<usize, Vec<f32>>| -> Vec<Vec<u32>> {
                 let mut v: Vec<_> = o
                     .iter()
                     .map(|(t, xs)| (*t, xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()))
@@ -476,27 +423,22 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
                 v.sort_by_key(|(t, _)| *t);
                 v.into_iter().map(|(_, bits)| bits).collect()
             };
-            b(&replayed.outputs) == b(&plan_out.outputs)
-        };
-        let info = ReplayInfo {
-            kernels: gt.num_kernels(),
-            steps: gt.num_steps(),
-            record_ms,
-            replay_ms,
-            graph_stats: (graphs.recordings(), graphs.hits(), graphs.evictions()),
-            trace_stats: (traces.recordings(), traces.hits()),
-            opt: gt.opt_stats(),
-            same,
-        };
-        (replayed, Some(info))
-    } else {
-        let outcome =
-            execute_graph(&eg, &inputs, ExecMode::Parallel).map_err(|e| CliError(e.to_string()))?;
-        (outcome, None)
+            Some(ReplayInfo {
+                kernels: gt.num_kernels(),
+                steps: gt.num_steps(),
+                record_ms,
+                replay_ms: run_ms,
+                graph_stats: (graphs.recordings(), graphs.hits(), graphs.evictions()),
+                trace_stats: (traces.recordings(), traces.hits()),
+                opt: gt.opt_stats(),
+                same: bits(&outcome.outputs) == bits(&plan_out.outputs),
+            })
+        }
+        None => None,
     };
     let wall = start.elapsed().as_secs_f64();
     let c = &outcome.counters;
-    let sum = checksum(&outcome.outputs);
+    let digest = outcome.digest();
     let diverged = replay_info.as_ref().is_some_and(|r| !r.same);
 
     let out = if json {
@@ -514,7 +456,7 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
             ws.arena_bytes(),
             ws.naive_bytes(),
             ws.saving(),
-            if replay_engine { "replay" } else { "plan" },
+            engine.graph_label(),
         );
         if let Some(r) = &replay_info {
             let _ = write!(
@@ -548,12 +490,14 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "\"wall_ms\":{:.3},\"counters\":{{\"instructions\":{},\"flops_tc\":{},\
-             \"flops_fma\":{},\"syncs\":{}}},\"checksum\":{sum:.6}}}",
+             \"flops_fma\":{},\"syncs\":{}}},\"checksum\":{:.6},\"hash\":\"{:016x}\"}}",
             wall * 1e3,
             c.instructions,
             c.flops_tc,
             c.flops_fma,
             c.syncs,
+            digest.checksum,
+            digest.hash,
         );
         out
     } else {
@@ -600,7 +544,8 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
             "counters : {} instructions, {} TC flops, {} FMA flops, {} syncs",
             c.instructions, c.flops_tc, c.flops_fma, c.syncs
         );
-        let _ = writeln!(out, "checksum : {sum:.6}");
+        let _ = writeln!(out, "checksum : {:.6}", digest.checksum);
+        let _ = writeln!(out, "hash     : {:016x}", digest.hash);
         out
     };
     if diverged {
@@ -608,9 +553,6 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
     }
     Ok(out)
 }
-
-/// Output map of a graph execution, keyed by temp index.
-type GraphOutcomeOutputs = HashMap<usize, Vec<f32>>;
 
 /// The `tune` sub-command: a thin veneer over the `graphene-tune`
 /// subsystem. Builds the requested [`SearchSpace`], runs the chosen
@@ -1053,11 +995,11 @@ mod run_tests {
 
     #[test]
     fn run_executes_all_modes_with_matching_checksums() {
-        let checksum = |out: &str| {
+        let line = |out: &str, prefix: &str| {
             out.lines()
-                .find_map(|l| l.strip_prefix("checksum : "))
+                .find_map(|l| l.strip_prefix(prefix))
                 .map(str::to_owned)
-                .expect("checksum line")
+                .unwrap_or_else(|| panic!("no `{prefix}` line in {out}"))
         };
         let base = "run gemm --m 128 --n 128 --k 32";
         let par = run_str(&format!("{base} --exec parallel")).unwrap();
@@ -1066,8 +1008,24 @@ mod run_tests {
         assert!(par.contains("compiled (parallel)"), "{par}");
         assert!(seq.contains("compiled (sequential)"), "{seq}");
         assert!(reference.contains("reference interpreter"), "{reference}");
-        assert_eq!(checksum(&par), checksum(&seq));
-        assert_eq!(checksum(&par), checksum(&reference));
+        assert_eq!(line(&par, "checksum : "), line(&seq, "checksum : "));
+        assert_eq!(line(&par, "checksum : "), line(&reference, "checksum : "));
+        // The hash shows what the six-decimal checksum cannot: every
+        // engine, and the daemon, produce the same output bits.
+        let hash = line(&par, "hash     : ");
+        let state = graphene_serve::ServerState::new(None);
+        for exec in ["reference", "sequential", "parallel", "replay"] {
+            let cli = run_str(&format!("{base} --exec {exec}")).unwrap();
+            assert_eq!(line(&cli, "hash     : "), hash, "CLI --exec {exec}");
+            let resp = graphene_serve::handlers::dispatch(
+                &state,
+                &format!(
+                    r#"{{"cmd":"run","kernel":"gemm","m":128,"n":128,"k":32,"exec":"{exec}"}}"#
+                ),
+            );
+            let v = graphene_tune::json::parse(&resp).unwrap();
+            assert_eq!(v.get("hash").and_then(|h| h.as_str()), Some(hash.as_str()), "{resp}");
+        }
     }
 
     #[test]

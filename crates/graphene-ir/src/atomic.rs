@@ -30,6 +30,20 @@ pub enum Arch {
 }
 
 impl Arch {
+    /// Parses a user-facing `--arch` value: `sm86`/`ampere` (also the
+    /// default when absent) or `sm70`/`volta`.
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted values when `name` is anything else.
+    pub fn parse(name: Option<&str>) -> Result<Arch, String> {
+        match name {
+            None | Some("sm86" | "ampere") => Ok(Arch::Sm86),
+            Some("sm70" | "volta") => Ok(Arch::Sm70),
+            Some(other) => Err(format!("unknown arch `{other}` (sm70|sm86)")),
+        }
+    }
+
     /// Marketing name used in reports.
     pub fn name(self) -> &'static str {
         match self {

@@ -133,7 +133,9 @@ pub fn render_json(kernel_name: &str, diags: &[Diagnostic]) -> String {
     )
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON document — the one JSON
+/// string escaper every crate's writer uses.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -31,6 +31,7 @@ pub mod body;
 pub mod builder;
 pub mod diag;
 pub mod dtype;
+pub mod hash;
 pub mod memory;
 pub mod module;
 pub mod ops;
@@ -45,6 +46,7 @@ pub use atomic::{Arch, AtomicSemantics, AtomicSpec};
 pub use body::{Body, Stmt, SyncScope};
 pub use diag::{Diagnostic, Severity};
 pub use dtype::ScalarType;
+pub use hash::Fnv1a;
 pub use memory::MemSpace;
 pub use module::{Kernel, Module};
 pub use ops::{BinaryOp, ReduceOp, UnaryOp};

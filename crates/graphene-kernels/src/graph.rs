@@ -434,6 +434,12 @@ mod tests {
         let fused = lower_fused(&g, Arch::Sm86).time_s(Arch::Sm86);
         let unfused = lower_unfused(&g).time_s(Arch::Sm86);
         assert!(unfused > fused * 2.0, "fusion should win clearly: {unfused} vs {fused}");
+        // The transformer encoder wins on the machine model too.
+        let enc = encoder_graph(2, 1, 128, 256, 4, 1024);
+        assert!(
+            lower_fused(&enc, Arch::Sm86).time_s(Arch::Sm86)
+                < lower_unfused(&enc).time_s(Arch::Sm86)
+        );
     }
 
     #[test]

@@ -2,21 +2,16 @@
 //! [`dispatch`].
 //!
 //! Handlers delegate kernel/space construction to the shared catalogs
-//! (`graphene_kernels::catalog`, `graphene_tune::catalog`) and seed
-//! inputs exactly like the one-shot CLI (`HostTensor::random` with
-//! seed `1000 + param index`), so a daemon response is bit-identical
-//! to the corresponding CLI run — the resident caches change *when*
-//! work happens, never *what* is computed.
+//! (`graphene_kernels::catalog`, `graphene_tune::catalog`) and
+//! execution to the same front door as the one-shot CLI
+//! ([`graphene_sim::Engine`] and its seeded inputs), so a daemon
+//! response is bit-identical to the corresponding CLI run.
 
 use crate::jobs::{Job, JobState};
 use crate::proto::{err_envelope, ok_envelope, parse_request, Obj, Request};
 use crate::state::ServerState;
 use graphene_ir::Arch;
-use graphene_sim::{
-    execute_graph, execute_plan, execute_reference, replay_graph, replay_opt, ExecMode, HostTensor,
-    TraceKey,
-};
-use std::collections::HashMap;
+use graphene_sim::{seeded_externals, seeded_inputs, Digest, Engine, TraceKey};
 use std::sync::atomic::Ordering;
 
 /// Parses one request line, routes it, and renders the response line.
@@ -57,36 +52,8 @@ pub fn dispatch(state: &ServerState, line: &str) -> String {
     }
 }
 
-/// `--arch` parsing, identical to the CLI's.
-fn arch_of(req: &Request) -> Result<Arch, String> {
-    match req.opt("arch") {
-        None | Some("sm86") | Some("ampere") => Ok(Arch::Sm86),
-        Some("sm70") | Some("volta") => Ok(Arch::Sm70),
-        Some(other) => Err(format!("unknown arch `{other}` (sm70|sm86)")),
-    }
-}
-
 fn flag(req: &Request, key: &str) -> bool {
     matches!(req.opt(key), Some("true" | "1" | "yes"))
-}
-
-/// Seeds kernel inputs exactly like `graphene run`: parameter `i`
-/// drawn from seed `1000 + i`.
-fn seeded_inputs(
-    params: &[(graphene_ir::TensorId, String, usize)],
-) -> HashMap<graphene_ir::TensorId, Vec<f32>> {
-    let mut inputs = HashMap::new();
-    for (i, (id, _, len)) in params.iter().enumerate() {
-        inputs.insert(*id, HostTensor::random(&[*len], 1000 + i as u64).as_slice().to_vec());
-    }
-    inputs
-}
-
-fn counters_json(c: &graphene_sim::Counters) -> String {
-    format!(
-        "{{\"instructions\":{},\"flops_tc\":{},\"flops_fma\":{},\"syncs\":{}}}",
-        c.instructions, c.flops_tc, c.flops_fma, c.syncs
-    )
 }
 
 /// `lint`: the full static-analysis pipeline, with `--prove` and
@@ -94,7 +61,7 @@ fn counters_json(c: &graphene_sim::Counters) -> String {
 /// carries the CLI's exact rendering).
 fn lint(req: &Request) -> Result<Obj, String> {
     let name = req.opt("kernel").ok_or("lint needs a `kernel` field")?;
-    let arch = arch_of(req)?;
+    let arch = Arch::parse(req.opt("arch"))?;
     let nk = graphene_kernels::catalog::build_named(name, arch, &req.opts)?;
     let mut plans = graphene_sim::PlanCache::new();
     let diags = graphene_analysis::analyze_kernel_cached(&nk.kernel, arch, &mut plans);
@@ -144,79 +111,50 @@ fn lint(req: &Request) -> Result<Obj, String> {
 /// request replays without recording (`trace_hit: true`).
 fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
     let name = req.opt("kernel").ok_or("run needs a `kernel` field")?;
-    let arch = arch_of(req)?;
-    enum Engine {
-        Reference,
-        Plan(ExecMode),
-        Replay,
-    }
-    let engine = match req.opt("exec") {
-        None | Some("parallel") => Engine::Plan(ExecMode::Parallel),
-        Some("sequential") => Engine::Plan(ExecMode::Sequential),
-        Some("reference") => Engine::Reference,
-        Some("replay") => Engine::Replay,
-        Some(other) => {
-            return Err(format!(
-                "unknown exec mode `{other}` (reference|sequential|parallel|replay)"
-            ))
-        }
-    };
+    let arch = Arch::parse(req.opt("arch"))?;
+    let engine = Engine::parse(req.opt("exec"))?;
     let (entry, plan_hit) = state.plan_for(name, arch, &req.opts)?;
     let inputs = seeded_inputs(entry.plan.params());
-    let bindings = HashMap::new();
-    let mut trace_hit = false;
+    // The reference interpreter needs the kernel IR itself, so that
+    // path (the slow oracle) rebuilds rather than caching kernels.
+    let kernel = match engine {
+        Engine::Reference => Some(graphene_kernels::catalog::build_named(name, arch, &req.opts)?),
+        _ => None,
+    };
+    let key = TraceKey { kernel: entry.kernel_name.clone(), problem: entry.problem.clone(), arch };
     let start = std::time::Instant::now();
-    let outcome = match &engine {
-        Engine::Plan(m) => execute_plan(&entry.plan, &inputs, &bindings, *m),
-        Engine::Reference => {
-            // The reference interpreter needs the kernel IR itself, so
-            // this path (the slow baseline, kept for equivalence
-            // checks) rebuilds rather than caching kernels.
-            let nk = graphene_kernels::catalog::build_named(name, arch, &req.opts)?;
-            execute_reference(&nk.kernel, arch, &inputs)
-        }
-        Engine::Replay => {
-            let key = TraceKey {
-                kernel: entry.kernel_name.clone(),
-                problem: entry.problem.clone(),
-                arch,
-            };
-            trace_hit = state.traces.contains(&key);
-            let trace = state
-                .traces
-                .get_or_record(&key, &entry.plan, &bindings)
-                .map_err(|e| e.to_string())?;
-            replay_opt(&trace, &inputs)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let (outcome, trace_hit) = engine
+        .execute(kernel.as_ref().map(|nk| &nk.kernel), &entry.plan, &state.traces, &key, &inputs)
+        .map_err(|e| e.to_string())?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let checksum: f64 =
-        outcome.globals.values().flat_map(|buf| buf.iter()).map(|&x| f64::from(x)).sum();
     let mut fields = Obj::new()
         .str("kernel", &entry.kernel_name)
         .str("problem", &entry.problem)
-        .str(
-            "engine",
-            match &engine {
-                Engine::Reference => "reference interpreter",
-                Engine::Plan(ExecMode::Sequential) => "compiled (sequential) interpreter",
-                Engine::Plan(_) => "compiled (parallel) interpreter",
-                Engine::Replay => "trace replay",
-            },
-        )
+        .str("engine", engine.label())
         .str(
             "launch",
             &format!("{} blocks x {} threads", entry.plan.grid_size(), entry.plan.block_size()),
         )
         .bool("plan_hit", plan_hit);
-    if matches!(engine, Engine::Replay) {
-        fields = fields.bool("trace_hit", trace_hit);
+    if let Some(hit) = trace_hit {
+        fields = fields.bool("trace_hit", hit);
     }
-    Ok(fields
+    Ok(result_fields(fields, wall_ms, &outcome.counters, outcome.digest()))
+}
+
+/// The fields every execution response ends with.
+fn result_fields(fields: Obj, wall_ms: f64, c: &graphene_sim::Counters, digest: Digest) -> Obj {
+    fields
         .raw("wall_ms", &format!("{wall_ms:.3}"))
-        .raw("counters", &counters_json(&outcome.counters))
-        .raw("checksum", &format!("{checksum:.6}")))
+        .raw(
+            "counters",
+            &format!(
+                "{{\"instructions\":{},\"flops_tc\":{},\"flops_fma\":{},\"syncs\":{}}}",
+                c.instructions, c.flops_tc, c.flops_fma, c.syncs
+            ),
+        )
+        .raw("checksum", &format!("{:.6}", digest.checksum))
+        .str("hash", &format!("{:016x}", digest.hash))
 }
 
 /// `run-graph`: build and execute a whole encoder graph; the replay
@@ -228,43 +166,24 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
     let int = |key: &str, default: i64| graphene_kernels::catalog::opt_int(&req.opts, key, default);
     let (layers, batch, seq) = (int("layers", 2)?, int("batch", 1)?, int("seq", 128)?);
     let (hidden, heads, ffn) = (int("hidden", 256)?, int("heads", 4)?, int("ffn", 1024)?);
-    let arch = arch_of(req)?;
+    let arch = Arch::parse(req.opt("arch"))?;
     let lowering = match req.opt("lowering") {
         None | Some("fused") => ExecLowering::Fused,
         Some("default") => ExecLowering::Default,
         Some(other) => return Err(format!("unknown lowering `{other}` (default|fused)")),
     };
-    let replay_engine = match req.opt("exec") {
-        None | Some("plan") => false,
-        Some("replay") => true,
-        Some(other) => return Err(format!("unknown exec mode `{other}` (plan|replay)")),
-    };
+    let engine = Engine::parse_graph(req.opt("exec"))?;
 
     let graph = encoder_graph(layers, batch, seq, hidden, heads, ffn);
     let eg = lower_executable(&graph, arch, lowering)?;
     let ws = eg.workspace();
-    let mut inputs = HashMap::new();
-    for (i, (name, len)) in eg.externals().iter().enumerate() {
-        inputs
-            .insert(name.clone(), HostTensor::random(&[*len], 1000 + i as u64).as_slice().to_vec());
-    }
+    let inputs = seeded_externals(&eg);
 
-    let mut graph_hit = false;
     let start = std::time::Instant::now();
-    let outcome = if replay_engine {
-        let hits_before = state.graphs.hits();
-        let gt = state.graphs.get_or_record(&eg, &state.traces).map_err(|e| e.to_string())?;
-        graph_hit = state.graphs.hits() > hits_before;
-        replay_graph(&gt, &inputs, ExecMode::Parallel).map_err(|e| e.to_string())?
-    } else {
-        execute_graph(&eg, &inputs, ExecMode::Parallel).map_err(|e| e.to_string())?
-    };
+    let (outcome, graph_hit) = engine
+        .execute_graph(&eg, &state.graphs, &state.traces, &inputs)
+        .map_err(|e| e.to_string())?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let checksum: f64 = {
-        let mut temps: Vec<_> = outcome.outputs.iter().collect();
-        temps.sort_by_key(|(t, _)| **t);
-        temps.iter().flat_map(|(_, buf)| buf.iter()).map(|&x| f64::from(x)).sum()
-    };
     let mut fields = Obj::new()
         .raw(
             "graph",
@@ -284,14 +203,11 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
                 ws.naive_bytes()
             ),
         )
-        .str("engine", if replay_engine { "replay" } else { "plan" });
-    if replay_engine {
-        fields = fields.bool("graph_hit", graph_hit);
+        .str("engine", engine.graph_label());
+    if let Some(hit) = graph_hit {
+        fields = fields.bool("graph_hit", hit);
     }
-    Ok(fields
-        .raw("wall_ms", &format!("{wall_ms:.3}"))
-        .raw("counters", &counters_json(&outcome.counters))
-        .raw("checksum", &format!("{checksum:.6}")))
+    Ok(result_fields(fields, wall_ms, &outcome.counters, outcome.digest()))
 }
 
 /// Renders a finished tune report as response fields — shared by the
@@ -324,7 +240,7 @@ fn tune_fields(report: &graphene_tune::TuneReport, arch: Arch) -> Obj {
 /// proposal count exceeds the server's limit (or that pass
 /// `"job":true`) are enqueued and answered with a job id for `poll`.
 fn tune(state: &ServerState, req: &Request) -> Result<Obj, String> {
-    let arch = arch_of(req)?;
+    let arch = Arch::parse(req.opt("arch"))?;
     let kernel = req.opt("kernel").unwrap_or("gemm");
     let space = graphene_tune::catalog::space_from_options(kernel, arch, &req.opts)?;
     let opts = graphene_tune::catalog::options_from_options(&req.opts)?;
@@ -355,7 +271,7 @@ fn tune(state: &ServerState, req: &Request) -> Result<Obj, String> {
 /// cancellation aborts between batches.
 pub fn run_tune_job(state: &ServerState, req: &Request, job: &Job) {
     let outcome = (|| -> Result<String, String> {
-        let arch = arch_of(req)?;
+        let arch = Arch::parse(req.opt("arch"))?;
         let kernel = req.opt("kernel").unwrap_or("gemm");
         let space = graphene_tune::catalog::space_from_options(kernel, arch, &req.opts)?;
         let opts = graphene_tune::catalog::options_from_options(&req.opts)?;
@@ -512,11 +428,16 @@ mod tests {
             get(&warm, &["checksum"]).as_f64(),
             "replayed run must be bit-identical to the recording run"
         );
-        // And the parallel engine agrees with replay on the checksum.
-        let plan =
-            parse(&dispatch(&state, r#"{"cmd":"run","kernel":"gemm","m":256,"n":256,"k":64}"#))
-                .unwrap();
-        assert_eq!(get(&plan, &["checksum"]).as_f64(), get(&cold, &["checksum"]).as_f64());
+        assert_eq!(get(&cold, &["hash"]).as_str(), get(&warm, &["hash"]).as_str());
+        // And every other engine agrees with replay, to the bit.
+        for exec in ["reference", "sequential", "parallel"] {
+            let line = format!(
+                r#"{{"cmd":"run","kernel":"gemm","m":256,"n":256,"k":64,"exec":"{exec}"}}"#
+            );
+            let other = parse(&dispatch(&state, &line)).unwrap();
+            assert_eq!(get(&other, &["checksum"]).as_f64(), get(&cold, &["checksum"]).as_f64());
+            assert_eq!(get(&other, &["hash"]).as_str(), get(&cold, &["hash"]).as_str(), "{exec}");
+        }
     }
 
     #[test]

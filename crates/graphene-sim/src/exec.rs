@@ -21,7 +21,7 @@ use graphene_ir::body::{Stmt, SyncScope};
 use graphene_ir::printer::render_spec_header;
 use graphene_ir::spec::{Spec, SpecKind};
 use graphene_ir::tensor::{TensorId, TensorType};
-use graphene_ir::{Arch, Kernel, MemSpace, Module};
+use graphene_ir::{Arch, Fnv1a, Kernel, MemSpace, Module};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -67,6 +67,40 @@ pub struct ExecOutcome {
     pub globals: HashMap<TensorId, Vec<f32>>,
     /// Profile counters.
     pub counters: Counters,
+}
+
+impl ExecOutcome {
+    /// The digest of every global buffer, in ascending [`TensorId`]
+    /// order.
+    pub fn digest(&self) -> Digest {
+        let mut ids: Vec<_> = self.globals.keys().collect();
+        ids.sort_unstable();
+        Digest::of(ids.into_iter().map(|id| self.globals[id].as_slice()))
+    }
+}
+
+/// An order-defined summary of output buffers, identical across
+/// engines, threads and processes for identical outputs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Digest {
+    /// The sum of every element as `f64` — the `checksum` users read.
+    pub checksum: f64,
+    /// 64-bit FNV-1a over every element's `f32::to_bits()`, one word
+    /// per step: equal hashes show bit-identical outputs.
+    pub hash: u64,
+}
+
+impl Digest {
+    /// Digests `bufs`, element by element, in the order given.
+    pub fn of<'a>(bufs: impl IntoIterator<Item = &'a [f32]>) -> Digest {
+        let mut checksum = 0.0;
+        let mut hash = Fnv1a::new();
+        for &x in bufs.into_iter().flatten() {
+            checksum += f64::from(x);
+            hash = hash.word(x.to_bits());
+        }
+        Digest { checksum, hash: hash.finish() }
+    }
 }
 
 /// Executes a kernel functionally on the given architecture.
@@ -858,5 +892,29 @@ mod tests {
         let row = execute(&build(false), Arch::Sm86, &HashMap::new()).unwrap();
         assert!(col.counters.conflict_factor() > row.counters.conflict_factor());
         assert_eq!(row.counters.conflict_factor(), 1.0);
+    }
+
+    /// The digest reads buffers in ascending id order, so two outcomes
+    /// holding the same buffers agree however their maps were filled.
+    #[test]
+    fn digest_is_independent_of_insertion_order() {
+        let bufs: Vec<(TensorId, Vec<f32>)> = (0..16u32)
+            .map(|i| (TensorId(i), (0..64).map(|j| (i * 64 + j) as f32 * 0.37 - 100.0).collect()))
+            .collect();
+        let outcome = |order: &mut dyn Iterator<Item = &(TensorId, Vec<f32>)>| {
+            let mut globals = HashMap::new();
+            for (id, buf) in order {
+                globals.insert(*id, buf.clone());
+            }
+            ExecOutcome { globals, counters: Counters::default() }.digest()
+        };
+        let forward = outcome(&mut bufs.iter());
+        let backward = outcome(&mut bufs.iter().rev());
+        assert_eq!(forward.checksum.to_bits(), backward.checksum.to_bits());
+        assert_eq!(forward.hash, backward.hash);
+        // And the hash sees bits the six-decimal checksum cannot.
+        let mut nudged = bufs.clone();
+        nudged[3].1[5] = f32::from_bits(nudged[3].1[5].to_bits() + 1);
+        assert_ne!(outcome(&mut nudged.iter()).hash, forward.hash);
     }
 }

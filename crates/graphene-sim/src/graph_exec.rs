@@ -33,7 +33,7 @@
 //! the equivalence suite asserts it.
 
 use crate::counters::Counters;
-use crate::exec::ExecError;
+use crate::exec::{Digest, ExecError};
 use crate::plan::KernelPlan;
 use crate::replay::replay_opt_with;
 use crate::run::{execute_plan, ExecMode};
@@ -199,6 +199,15 @@ pub struct GraphOutcome {
     /// The workspace plan the run used — carries planned
     /// (`arena_scalars`) vs naive (`naive_scalars`) peaks.
     pub workspace: WorkspacePlan,
+}
+
+impl GraphOutcome {
+    /// The digest of every output temp, in ascending temp index.
+    pub fn digest(&self) -> Digest {
+        let mut temps: Vec<_> = self.outputs.keys().collect();
+        temps.sort_unstable();
+        Digest::of(temps.into_iter().map(|t| self.outputs[t].as_slice()))
+    }
 }
 
 /// Seeds one node's input map from externals and arena slices.

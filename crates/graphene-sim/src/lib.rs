@@ -25,26 +25,29 @@
 //! independent CTAs running concurrently under [`ExecMode::Parallel`]
 //! while staying bit-identical to sequential execution ([`run`]). The
 //! original statement-tree interpreter is retained as
-//! [`execute_reference`] for equivalence testing and as the benchmark
-//! baseline.
+//! [`execute_reference`], the oracle every other engine is tested
+//! against.
 //!
 //! On top of the compiled engine sits record-once/replay-many
 //! execution — the CUDA-graph analog: [`record_trace`] captures one
-//! instrumented run as a flat straight-line program ([`trace`]), a
-//! [`TraceCache`] memoizes traces per (kernel, problem, arch), and
-//! [`replay`](replay()) re-runs the program against fresh inputs with
-//! no dispatch, no symbolic environment, and no address emission
-//! ([`ExecMode::Replay`] for one-shot use). Recorded traces are then
-//! lowered by the trace optimizer ([`optimize_trace`], [`trace_opt`])
-//! into an [`OptTrace`] whose address slices are compact affine
-//! descriptors: [`replay_opt`](replay_opt()) runs contiguous steps at
-//! memcpy speed, and the [`TraceCache`] keeps only this compact form
-//! resident.
+//! instrumented run as a flat straight-line program ([`trace`]), the
+//! trace optimizer ([`optimize_trace`], [`trace_opt`]) lowers it into
+//! an [`OptTrace`] whose address slices are compact affine
+//! descriptors, and [`replay_opt`](replay_opt()) re-runs that against
+//! fresh inputs with no dispatch, no symbolic environment and no
+//! address emission, contiguous steps at memcpy speed. A
+//! [`TraceCache`] keeps one optimized trace per (kernel, problem,
+//! arch) resident.
+//!
+//! That makes four engines — reference, sequential plan, parallel plan
+//! and optimized replay — behind one front door, [`Engine`]
+//! ([`engine`]), which the CLI and the serve daemon both call.
 
 #![warn(missing_docs)]
 
 pub mod analyze;
 pub mod counters;
+pub mod engine;
 pub mod exec;
 pub mod graph_exec;
 pub mod host;
@@ -63,9 +66,10 @@ pub use analyze::{
     sample_conflicts, sample_conflicts_cached, AnalyzeError,
 };
 pub use counters::Counters;
+pub use engine::{seeded_externals, seeded_inputs, Engine};
 pub use exec::{
     execute, execute_bound, execute_reference, execute_reference_bound, execute_with, rel_offsets,
-    ExecError, ExecOutcome,
+    Digest, ExecError, ExecOutcome,
 };
 pub use graph_exec::{
     execute_graph, record_graph, replay_graph, ArgBinding, ExecGraph, ExecNode, GraphKey,
@@ -78,7 +82,7 @@ pub use prove::{
     grade_conflicts_cached, linear_site, prove_conflicts_enumerated, prove_conflicts_linear,
     sample_is_aligned_warp, ConflictGrade, ConflictProvenance, LinearSite,
 };
-pub use replay::{replay, replay_opt, replay_opt_with, replay_with};
+pub use replay::{replay_opt, replay_opt_with};
 pub use run::{execute_plan, ExecMode};
 pub use timing::{time_kernel, time_sequence, KernelProfile};
 pub use trace::{record_trace, Trace, TraceCache, TraceKey};

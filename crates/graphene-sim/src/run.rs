@@ -26,7 +26,9 @@ use graphene_ir::MemSpace;
 use graphene_sym::SlotEnv;
 use std::collections::HashMap;
 
-/// How CTAs (thread blocks) are interpreted.
+/// How CTAs (thread blocks) are scheduled — by the plan engine, the
+/// trace replay and the graph executor alike. Which engine runs is a
+/// separate choice ([`crate::engine::Engine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Blocks run one after another on the calling thread.
@@ -40,14 +42,6 @@ pub enum ExecMode {
     /// count, regardless of the machine's core count (used by the
     /// equivalence tests to force the threaded merge path).
     Workers(usize),
-    /// Record the kernel once into a straight-line trace
-    /// ([`crate::trace`]) and execute by replaying it — no statement
-    /// tree, no spec dispatch, no address emission
-    /// ([`crate::replay`]). Callers executing the same (kernel,
-    /// problem, arch) repeatedly should record through a
-    /// [`crate::trace::TraceCache`] instead, which amortises the
-    /// single recording across every replay.
-    Replay,
 }
 
 /// One logged global-memory write (parallel mode).
@@ -647,17 +641,9 @@ pub fn execute_plan(
     bindings: &HashMap<String, i64>,
     mode: ExecMode,
 ) -> Result<ExecOutcome, ExecError> {
-    if mode == ExecMode::Replay {
-        // Record once, optimize, replay once — the same pipeline the
-        // `TraceCache` runs, so one-shot replay execution and cached
-        // replay are the same engine. Repeated executions should share
-        // a `TraceCache` and call `replay_opt` directly.
-        let trace = crate::trace_opt::record_opt_trace(plan, bindings)?;
-        return crate::replay::replay_opt(&trace, inputs);
-    }
     let init = initial_globals(plan, inputs)?;
     let workers = match mode {
-        ExecMode::Sequential | ExecMode::Replay => 1,
+        ExecMode::Sequential => 1,
         ExecMode::Parallel => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)

@@ -107,8 +107,8 @@ pub(crate) enum TOp {
 
 /// A recorded straight-line execution of one (kernel, problem, arch):
 /// every branch resolved, every loop unrolled, every operand address
-/// precomputed. Produced by [`record_trace`], executed by
-/// [`crate::replay::replay`].
+/// precomputed. Produced by [`record_trace`] and lowered for execution
+/// by [`crate::trace_opt::optimize_trace`].
 #[derive(Debug)]
 pub struct Trace {
     pub(crate) steps: Vec<TOp>,

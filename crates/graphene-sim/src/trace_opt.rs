@@ -2,8 +2,8 @@
 //! whose address arrays are compact affine descriptors and whose step
 //! list has been peephole-cleaned.
 //!
-//! PR 7's replay executes every step as a per-element gather/scatter
-//! through the shared `u32` address arena, even though most recorded
+//! A recorded trace addresses every operand element through the shared
+//! `u32` address arena, even though most recorded
 //! address runs in the paper's kernels are *affine* — contiguous or
 //! constant-stride, often with a regular per-lane (2D) structure. That
 //! is not an accident: under the F₂/linear-layout view of addresses,
@@ -29,9 +29,9 @@
 //! The optimized replay ([`crate::replay::replay_opt`]) then runs
 //! contiguous copies as `copy_from_slice`, contiguous element-wise ops
 //! as tight auto-vectorizable slice loops, strided/lane spans as
-//! stepped loops with no arena traffic, and residual gathers exactly as
-//! before — bit-identical to the unoptimized replay by construction
-//! (element order and `f64` op semantics are preserved).
+//! stepped loops with no arena traffic, and residual gathers through
+//! the compacted arena — bit-identical to the recorded execution by
+//! construction (element order and `f64` op semantics are preserved).
 
 use crate::counters::Counters;
 use crate::exec::ExecError;
@@ -219,7 +219,7 @@ pub(crate) enum OTp {
 }
 
 /// What the optimizer did to one trace — surfaced in CLI replay output,
-/// the serve daemon's `stats`, and BENCH_PR10.
+/// the serve daemon's `stats`, and the repository benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OptStats {
     /// Steps in the unoptimized trace.
@@ -897,7 +897,7 @@ pub fn record_opt_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{replay, replay_opt};
+    use crate::replay::replay_opt;
     use graphene_ir::tensor::TensorId;
     use std::collections::HashMap;
 
@@ -1030,7 +1030,7 @@ mod tests {
     #[test]
     fn planted_trace_replays_identically_optimized() {
         // out[i] = out[perm[i]] * 2 staged through scratch, with a
-        // gather on one side — exercises both paths end to end.
+        // gather on one side — exercises both span paths end to end.
         let perm: Vec<u32> = vec![3, 1, 0, 2, 6, 7, 5, 4];
         let mut addrs: Vec<u32> = perm.clone();
         addrs.extend(0..8u32); // da of copy: contiguous scratch
@@ -1057,14 +1057,15 @@ mod tests {
         let o = optimize_trace(&t);
         let inputs: HashMap<TensorId, Vec<f32>> =
             [(TensorId(0), (0..8).map(|i| i as f32 + 0.5).collect())].into();
-        let base = replay(&t, &inputs).expect("raw replay");
         let opt = replay_opt(&o, &inputs).expect("opt replay");
-        let b = &base.globals[&TensorId(0)];
-        let p = &opt.globals[&TensorId(0)];
-        assert_eq!(b.len(), p.len());
-        for (x, y) in b.iter().zip(p) {
-            assert_eq!(x.to_bits(), y.to_bits(), "optimized replay must be bit-identical");
+        // Hand-computed: out[i] = 2 * (perm[i] + 0.5).
+        let want: Vec<f32> = perm.iter().map(|&p| 2.0 * (p as f32 + 0.5)).collect();
+        let got = &opt.globals[&TensorId(0)];
+        assert_eq!(want, [7.0, 3.0, 1.0, 5.0, 13.0, 15.0, 11.0, 9.0]);
+        assert_eq!(got.len(), want.len());
+        for (w, g) in want.iter().zip(got) {
+            assert_eq!(w.to_bits(), g.to_bits(), "optimized replay must be bit-exact");
         }
-        assert_eq!(base.counters, opt.counters);
+        assert_eq!(opt.counters, t.counters);
     }
 }

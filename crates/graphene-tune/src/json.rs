@@ -4,8 +4,8 @@
 //! not available; the tuning cache needs only a small, strict subset of
 //! JSON — objects, arrays, strings, finite numbers, booleans, null —
 //! which this hand-rolled recursive-descent parser covers. Emission is
-//! done by the database itself ([`crate::db`]); [`escape`] is the
-//! shared string escaper.
+//! done by the database itself ([`crate::db`]); [`escape`] re-exports
+//! the workspace's one string escaper, `graphene_ir::diag::json_escape`.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,22 +226,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use graphene_ir::diag::json_escape as escape;
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,7 @@
 //! [`crate::tuner`], which runs the full `graphene-analysis` pipeline
 //! over each built candidate.
 
-use graphene_ir::{Arch, Kernel};
+use graphene_ir::{Arch, Fnv1a, Kernel};
 use graphene_kernels::fmha::{build_fused_fmha, FmhaConfig};
 use graphene_kernels::gemm::{build_gemm, build_gemm_double_buffered, Epilogue, GemmConfig};
 use graphene_kernels::layernorm::{build_layernorm, LayernormConfig};
@@ -130,25 +130,16 @@ pub trait SearchSpace: Sync {
     /// and value lists). A stored tuning-database entry is only valid
     /// while this hash matches — growing a value list invalidates it.
     fn space_hash(&self) -> u64 {
-        let mut h = fnv(FNV_OFFSET, self.name().as_bytes());
-        h = fnv(h, format!("{:?}", self.arch()).as_bytes());
+        let mut h = Fnv1a::new().bytes(self.name().as_bytes());
+        h = h.bytes(format!("{:?}", self.arch()).as_bytes());
         for d in self.params() {
-            h = fnv(h, d.name.as_bytes());
+            h = h.bytes(d.name.as_bytes());
             for v in &d.values {
-                h = fnv(h, &v.to_le_bytes());
+                h = h.bytes(&v.to_le_bytes());
             }
         }
-        h
+        h.finish()
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------
@@ -625,6 +616,8 @@ mod tests {
         assert_ne!(a.space_hash(), c.space_hash());
         let d = LayernormSpace::new(Arch::Sm86, 4096, 1024);
         assert_ne!(a.space_hash(), d.space_hash());
+        // Tune-cache entries persist this value: it must never drift.
+        assert_eq!(format!("{:016x}", a.space_hash()), "adebd2558655958e");
     }
 
     #[test]

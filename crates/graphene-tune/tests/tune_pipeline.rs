@@ -87,6 +87,20 @@ fn exhaustive_gemm_matches_or_beats_default_and_accounts_for_every_point() {
     assert_eq!(error_count(&analyze_kernel(&kernel, space.arch())), 0);
     let sites = graphene_analysis::banks::grade_sites(&kernel, space.arch());
     assert!(sites.iter().all(|s| s.conflict_free() && s.provenance.is_proven()));
+
+    // The exhaustive optimum: no strategy may report a better time, and
+    // the winner only moves when the cost model or the space does.
+    let beam = run_search(
+        &space,
+        &TuneOptions {
+            search: Search::Beam { seed: 7, width: 3, patience: 1 },
+            budget: Some(24),
+            ..TuneOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(report.best_time_s <= beam.best_time_s * (1.0 + 1e-9), "beam beat exhaustive");
+    assert_eq!(report.best_desc, "bm=64 bn=64 bk=16 wm=64 wn=64 stages=1");
 }
 
 #[test]
