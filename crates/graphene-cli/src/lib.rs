@@ -1242,6 +1242,17 @@ mod robustness_tests {
         assert!(run_str("layernorm --rows 3").unwrap_err().0.contains("multiple of 4"));
         assert!(run_str("softmax --cols 100").unwrap_err().0.contains("multiple of 256"));
         assert!(run_str("fmha --seq 100").unwrap_err().0.contains("seq"));
+        for (cmd, want) in [
+            ("lint mlp --hidden 256", "hidden=256"),
+            ("lint mlp --m 100", "row tiling"),
+            ("lint lstm --hidden 48", "warp tiling"),
+            ("lint gemm --m 0", "--m must be positive"),
+            ("lint gemm --m -128", "--m must be positive"),
+            ("lint mlp --layers 0", "--layers must be positive"),
+        ] {
+            let err = run_str(cmd).unwrap_err().0;
+            assert!(err.contains(want) && !err.contains("internal"), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -78,14 +78,19 @@ fn epilogue_label(e: Epilogue) -> &'static str {
 ///
 /// # Errors
 ///
-/// A user-facing message for unknown names, malformed options, or
-/// shape/arch combinations the schedule cannot lower.
+/// A user-facing message for unknown names, malformed or non-positive
+/// sizes, or shape/arch combinations the schedule cannot lower.
 pub fn build_named(
     name: &str,
     arch: Arch,
     opts: &HashMap<String, String>,
 ) -> Result<NamedKernel, String> {
-    let int = |key: &str, default: i64| opt_int(opts, key, default);
+    // Every option here is a size: anything below 1 is rejected before
+    // it reaches a layout or a builder assertion.
+    let int = |key: &str, default: i64| match opt_int(opts, key, default)? {
+        v if v >= 1 => Ok(v),
+        v => Err(format!("--{key} must be positive, got {v}")),
+    };
     match name {
         "gemm" | "gemm-db" => {
             let (m, n, k) = (int("m", 1024)?, int("n", 1024)?, int("k", 1024)?);
@@ -109,12 +114,14 @@ pub fn build_named(
         "mlp" => {
             let cfg = MlpConfig::paper(int("m", 4096)?, int("layers", 4)?);
             let cfg = MlpConfig { hidden: int("hidden", 128)?, ..cfg };
+            cfg.validate(arch)?;
             let problem = format!("m{}_hidden{}_layers{}", cfg.m, cfg.hidden, cfg.layers);
             Ok(NamedKernel { kernel: build_fused_mlp(arch, &cfg), problem })
         }
         "lstm" => {
             let cfg = LstmConfig::paper(int("m", 4096)?);
             let cfg = LstmConfig { hidden: int("hidden", 128)?, ..cfg };
+            cfg.validate(arch)?;
             let problem = format!("m{}_hidden{}", cfg.m, cfg.hidden);
             Ok(NamedKernel { kernel: build_fused_lstm(arch, &cfg), problem })
         }

@@ -112,161 +112,156 @@ pub fn smem_swizzle() -> Swizzle {
     Swizzle::new(3, 3, 3)
 }
 
-/// Stages a `rows × cols` fp16 tile of `src` (a 2-D row-major global
-/// tensor) starting at `(row0, col0)` into the shared tensor `smem`
-/// (shape `[rows, cols]`), using all `threads` block threads with
-/// 8-element vectorised moves.
-///
-/// On Ampere the global→shared move lowers to `cp.async`; on Volta it
-/// round-trips through a register (`ld.global.v4.u32` +
-/// `st.shared.v4.u32`).
-///
-/// # Panics
-///
-/// Panics unless `rows*cols` is divisible by `threads*8`.
-#[allow(clippy::too_many_arguments)]
-pub fn stage_tile(
-    kb: &mut KernelBuilder,
-    arch: Arch,
-    exec: &[ThreadId],
-    threads_ts: ThreadId,
-    src: TensorId,
-    smem: TensorId,
-    row0: IntExpr,
-    col0: IntExpr,
-    rows: i64,
-    cols: i64,
+/// Block-wide staging of global fp16 tiles into shared memory: every
+/// thread of `block` (there are `threads`) moves its share of the tile,
+/// under the `grid`.
+#[derive(Debug, Clone, Copy)]
+pub struct Stager {
+    /// Target architecture (picks `cp.async` or a register round-trip).
+    pub(crate) arch: Arch,
+    /// The grid thread tensor.
+    pub(crate) grid: ThreadId,
+    /// The block's thread tensor.
+    pub(crate) block: ThreadId,
+    /// Threads per block.
     threads: i64,
-) {
-    let total = rows * cols;
-    assert_eq!(total % threads, 0, "stage_tile: {rows}x{cols} not divisible by {threads} threads");
-    let per_thread = total / threads;
-    // Widest vectorisation the per-thread share and the row width allow.
-    let w = [8i64, 4, 2, 1]
-        .into_iter()
-        .find(|w| per_thread % w == 0 && cols % w == 0)
-        .expect("width 1 always divides");
-    let chunks = per_thread / w;
-    let tid = kb.module()[threads_ts].hw_var();
+}
 
-    // Views: both sides tiled into [1,w] vectors.
-    let src_vec = kb.tile_c(src, &[Some(1), Some(w)]).expect("src vec tile");
-    let dst_vec = kb.tile_c(smem, &[Some(1), Some(w)]).expect("smem vec tile");
+impl Stager {
+    /// A stager over the kernel's grid and all threads of its block.
+    pub fn new(kb: &KernelBuilder, arch: Arch) -> Self {
+        let (grid, block) = (kb.grid(), kb.block());
+        Stager { arch, grid, block, threads: kb.module()[block].count() }
+    }
 
-    for u in 0..chunks {
-        let e = (tid.clone() * chunks + u) * w;
-        let r = e.clone() / cols;
-        let c = e % cols;
-        let s = kb.index(src_vec, &[row0.clone() + r.clone(), (col0.clone() + c.clone()) / w]);
-        let d = kb.index(dst_vec, &[r, c / w]);
-        let mut ex = exec.to_vec();
-        let ts = kb.thread_scalar(threads_ts);
-        ex.push(ts);
-        match arch {
-            Arch::Sm86 => {
-                kb.spec(SpecKind::Move, ex, vec![s], vec![d]);
+    /// Stages a `rows × cols` tile of `src` (a 2-D row-major global
+    /// tensor) starting at `(row0, col0)` into the shared tensor `smem`
+    /// (shape `[rows, cols]`) with the widest vectorised moves the
+    /// per-thread share allows.
+    ///
+    /// On Ampere the global→shared move lowers to `cp.async`; on Volta it
+    /// round-trips through a register (`ld.global.v4.u32` +
+    /// `st.shared.v4.u32`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rows*cols` is divisible by `threads`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tile(
+        &self,
+        kb: &mut KernelBuilder,
+        src: TensorId,
+        smem: TensorId,
+        row0: IntExpr,
+        col0: IntExpr,
+        rows: i64,
+        cols: i64,
+    ) {
+        let (threads, total) = (self.threads, rows * cols);
+        assert_eq!(total % threads, 0, "staging: {rows}x{cols} not divisible by {threads} threads");
+        let per_thread = total / threads;
+        // Widest vectorisation the per-thread share and the row width allow.
+        let w = [8i64, 4, 2, 1]
+            .into_iter()
+            .find(|w| per_thread % w == 0 && cols % w == 0)
+            .expect("width 1 always divides");
+        let chunks = per_thread / w;
+        let tid = kb.module()[self.block].hw_var();
+
+        // Views: both sides tiled into [1,w] vectors.
+        let src_vec = kb.tile_c(src, &[Some(1), Some(w)]).expect("src vec tile");
+        let dst_vec = kb.tile_c(smem, &[Some(1), Some(w)]).expect("smem vec tile");
+
+        for u in 0..chunks {
+            let e = (tid.clone() * chunks + u) * w;
+            let r = e.clone() / cols;
+            let c = e % cols;
+            let s = kb.index(src_vec, &[row0.clone() + r.clone(), (col0.clone() + c.clone()) / w]);
+            let d = kb.index(dst_vec, &[r, c / w]);
+            let ex = vec![self.grid, kb.thread_scalar(self.block)];
+            match self.arch {
+                Arch::Sm86 => kb.spec(SpecKind::Move, ex, vec![s], vec![d]),
+                Arch::Sm70 => {
+                    // No cp.async on Volta: go through a register.
+                    let tmp = kb.alloc_reg(format!("stg{u}"), reg_vec(w, ScalarType::F16));
+                    kb.spec(SpecKind::Move, ex.clone(), vec![s], vec![tmp]);
+                    kb.spec(SpecKind::Move, ex, vec![tmp], vec![d]);
+                }
             }
-            Arch::Sm70 => {
-                // No cp.async on Volta: go through a register.
-                let tmp = kb.alloc_reg(format!("stg{u}"), reg_vec(w, ScalarType::F16));
-                kb.spec(SpecKind::Move, ex.clone(), vec![s], vec![tmp]);
-                kb.spec(SpecKind::Move, ex, vec![tmp], vec![d]);
+        }
+    }
+
+    /// Transposed staging: `dst[c][r] = src[row0 + r, col0 + c]` for a
+    /// `rows × cols` region — vectorised global reads, scalar shared
+    /// writes. Used where a GEMM operand must be consumed column-major
+    /// (Volta A fragments, attention `Kᵀ`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rows*cols` is divisible by `threads*8`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn transposed(
+        &self,
+        kb: &mut KernelBuilder,
+        src: TensorId,
+        dst_view: TensorId,
+        row0: IntExpr,
+        col0: IntExpr,
+        rows: i64,
+        cols: i64,
+    ) {
+        let total = rows * cols;
+        assert_eq!(total % (self.threads * 8), 0, "transposed staging granularity");
+        let chunks = total / self.threads / 8;
+        let tid = kb.module()[self.block].hw_var();
+        let src_vec8 = kb.tile_c(src, &[Some(1), Some(8)]).expect("src vectors");
+        for u in 0..chunks {
+            let e = (tid.clone() * chunks + u) * 8;
+            let r = e.clone() / cols;
+            let c = e % cols;
+            let s = kb.index(src_vec8, &[row0.clone() + r.clone(), (col0.clone() + c.clone()) / 8]);
+            let tmp = kb.alloc_reg(format!("tr{u}"), reg_vec(8, ScalarType::F16));
+            let ts = kb.thread_scalar(self.block);
+            kb.spec(SpecKind::Move, vec![self.grid, ts], vec![s], vec![tmp]);
+            for j in 0..8i64 {
+                let slot = kb.view_as(tmp, reg_scalar(ScalarType::F16), IntExpr::constant(j));
+                let d = kb.index(dst_view, &[c.clone() + j, r.clone()]);
+                let ts = kb.thread_scalar(self.block);
+                kb.spec(SpecKind::Move, vec![self.grid, ts], vec![slot], vec![d]);
             }
+        }
+    }
+
+    /// Stages a `rows × cols` MMA A operand into `smem` typed by
+    /// [`a_operand_type`]: row-major on Ampere ([`Self::tile`]),
+    /// transposed on Volta ([`Self::transposed`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn a_operand(
+        &self,
+        kb: &mut KernelBuilder,
+        src: TensorId,
+        smem: TensorId,
+        row0: IntExpr,
+        col0: IntExpr,
+        rows: i64,
+        cols: i64,
+    ) {
+        match self.arch {
+            Arch::Sm86 => self.tile(kb, src, smem, row0, col0, rows, cols),
+            Arch::Sm70 => self.transposed(kb, src, smem, row0, col0, rows, cols),
         }
     }
 }
 
-/// Copies a `rows × cols` fp16 shared tensor out to a region of a 2-D
-/// global tensor (register round-trip: `ld.shared` + `st.global`),
-/// vectorised across all block threads.
-///
-/// # Panics
-///
-/// Panics unless `rows*cols` is divisible by `threads`.
-#[allow(clippy::too_many_arguments)]
-pub fn unstage_tile(
-    kb: &mut KernelBuilder,
-    exec: &[ThreadId],
-    threads_ts: ThreadId,
-    smem: TensorId,
-    dst: TensorId,
-    row0: IntExpr,
-    col0: IntExpr,
-    rows: i64,
-    cols: i64,
-    threads: i64,
-) {
-    let total = rows * cols;
-    assert_eq!(total % threads, 0, "unstage_tile: {rows}x{cols} vs {threads} threads");
-    let per_thread = total / threads;
-    let w = [8i64, 4, 2, 1]
-        .into_iter()
-        .find(|w| per_thread % w == 0 && cols % w == 0)
-        .expect("width 1 always divides");
-    let chunks = per_thread / w;
-    let tid = kb.module()[threads_ts].hw_var();
-    let src_vec = kb.tile_c(smem, &[Some(1), Some(w)]).expect("smem vec tile");
-    let dst_vec = kb.tile_c(dst, &[Some(1), Some(w)]).expect("dst vec tile");
-    for u in 0..chunks {
-        let e = (tid.clone() * chunks + u) * w;
-        let r = e.clone() / cols;
-        let c = e % cols;
-        let s = kb.index(src_vec, &[r.clone(), c.clone() / w]);
-        let d = kb.index(dst_vec, &[row0.clone() + r, (col0.clone() + c) / w]);
-        let tmp = kb.alloc_reg(format!("ustg{u}"), reg_vec(w, ScalarType::F16));
-        let mut ex = exec.to_vec();
-        let ts = kb.thread_scalar(threads_ts);
-        ex.push(ts);
-        kb.spec(SpecKind::Move, ex.clone(), vec![s], vec![tmp]);
-        kb.spec(SpecKind::Move, ex, vec![tmp], vec![d]);
-    }
-}
-
-/// Transposed staging: `dst[c][r] = src[row0 + r, col0 + c]` for an
-/// `rows × cols` region — vectorised global reads, scalar shared writes.
-/// Used where a GEMM operand must be consumed column-major (Volta A
-/// fragments, attention `Kᵀ`).
-///
-/// # Panics
-///
-/// Panics unless `rows*cols` is divisible by `threads*8`.
-#[allow(clippy::too_many_arguments)]
-pub fn stage_transposed(
-    kb: &mut KernelBuilder,
-    exec: &[ThreadId],
-    threads_ts: ThreadId,
-    src: TensorId,
-    dst_view: TensorId,
-    row0: IntExpr,
-    col0: IntExpr,
-    rows: i64,
-    cols: i64,
-    threads: i64,
-) {
-    let total = rows * cols;
-    assert_eq!(total % (threads * 8), 0, "transposed staging granularity");
-    let chunks = total / threads / 8;
-    let tid = kb.module()[threads_ts].hw_var();
-    let src_vec8 = kb.tile_c(src, &[Some(1), Some(8)]).expect("src vectors");
-    for u in 0..chunks {
-        let e = (tid.clone() * chunks + u) * 8;
-        let r = e.clone() / cols;
-        let c = e % cols;
-        let s = kb.index(src_vec8, &[row0.clone() + r.clone(), (col0.clone() + c.clone()) / 8]);
-        let tmp = kb.alloc_reg(format!("tr{u}"), reg_vec(8, ScalarType::F16));
-        let mut ex = exec.to_vec();
-        let ts = kb.thread_scalar(threads_ts);
-        ex.push(ts);
-        kb.spec(SpecKind::Move, ex, vec![s], vec![tmp]);
-        for j in 0..8i64 {
-            let slot = kb.view_as(tmp, reg_scalar(ScalarType::F16), IntExpr::constant(j));
-            let d = kb.index(dst_view, &[c.clone() + j, r.clone()]);
-            let mut ex = exec.to_vec();
-            let ts = kb.thread_scalar(threads_ts);
-            ex.push(ts);
-            kb.spec(SpecKind::Move, ex, vec![slot], vec![d]);
-        }
-    }
+/// The shared tile type of a `rows × k` MMA A operand: row-major for
+/// Ampere's `ldmatrix`, transposed (`[k, rows]`) on Volta so each
+/// quad-pair A fragment is one vectorised load.
+pub fn a_operand_type(arch: Arch, rows: i64, k: i64, swizzle: Swizzle) -> TensorType {
+    let dims = match arch {
+        Arch::Sm86 => [rows, k],
+        Arch::Sm70 => [k, rows],
+    };
+    TensorType::row_major(&dims, ScalarType::F16).with_swizzle(swizzle)
 }
 
 /// Emits a warp-wide all-reduce of a scalar f32 register using butterfly

@@ -21,7 +21,7 @@
 //! "Ampere FMHA kernels" into the end-to-end networks of Figure 15.
 
 use crate::common::{
-    a_frags_type, acc_root_type, b_frags_type, frag_a_type, reg_scalar, reg_vec, stage_tile,
+    a_frags_type, acc_root_type, b_frags_type, frag_a_type, reg_scalar, reg_vec, Stager,
 };
 use crate::mma::{
     emit_epilogue_store_ampere, emit_warp_mma_ampere, EpilogueOps, MmaGeom, StoreTarget, WarpCtx,
@@ -132,30 +132,9 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
     let lane = ctx.lane.clone();
 
     kb.comment("stage Q tile and K^T (transposed staging)");
-    stage_tile(
-        &mut kb,
-        arch,
-        &[grid],
-        block,
-        q,
-        qs,
-        q_row0.clone(),
-        IntExpr::zero(),
-        cfg.bq,
-        cfg.d,
-        cfg.threads(),
-    );
-    stage_transposed(
-        &mut kb,
-        grid,
-        block,
-        k,
-        kt_view,
-        head_row0.clone(),
-        cfg.seq,
-        cfg.d,
-        cfg.threads(),
-    );
+    let st = Stager::new(&kb, arch);
+    st.tile(&mut kb, q, qs, q_row0.clone(), IntExpr::zero(), cfg.bq, cfg.d);
+    st.transposed(&mut kb, k, kt_view, head_row0.clone(), IntExpr::zero(), cfg.seq, cfg.d);
     kb.sync();
 
     kb.comment("S = Q x K^T into register fragments (full score tile resident)");
@@ -202,19 +181,7 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
     }
 
     kb.comment("stage V (reusing the K^T buffer) and compute O = P x V");
-    stage_tile(
-        &mut kb,
-        arch,
-        &[grid],
-        block,
-        v,
-        v_view,
-        head_row0.clone(),
-        IntExpr::zero(),
-        cfg.seq,
-        cfg.d,
-        cfg.threads(),
-    );
+    st.tile(&mut kb, v, v_view, head_row0.clone(), IntExpr::zero(), cfg.seq, cfg.d);
     kb.sync();
 
     let ni_o = cfg.d / 8;
@@ -272,42 +239,6 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
     );
 
     kb.build()
-}
-
-/// Transposed staging: `dst[dd][si] = src[row0 + si][dd]` — vectorised
-/// global reads, scalar shared writes.
-#[allow(clippy::too_many_arguments)]
-fn stage_transposed(
-    kb: &mut KernelBuilder,
-    grid: ThreadId,
-    block: ThreadId,
-    src: TensorId,
-    dst_view: TensorId,
-    row0: IntExpr,
-    rows: i64,
-    cols: i64,
-    threads: i64,
-) {
-    let total = rows * cols;
-    assert_eq!(total % (threads * 8), 0, "transposed staging granularity");
-    let chunks = total / threads / 8;
-    let tid = kb.module()[block].hw_var();
-    let src_vec8 = kb.tile_c(src, &[Some(1), Some(8)]).expect("src vectors");
-    for u in 0..chunks {
-        let e = (tid.clone() * chunks + u) * 8;
-        let si = e.clone() / cols;
-        let dd = e % cols;
-        let s = kb.index(src_vec8, &[row0.clone() + si.clone(), dd.clone() / 8]);
-        let tmp = kb.alloc_reg(format!("tr{u}"), reg_vec(8, ScalarType::F16));
-        let ts = kb.thread_scalar(block);
-        kb.spec(SpecKind::Move, vec![grid, ts], vec![s], vec![tmp]);
-        for j in 0..8i64 {
-            let slot = kb.view_as(tmp, reg_scalar(ScalarType::F16), IntExpr::constant(j));
-            let d = kb.index(dst_view, &[dd.clone() + j, si.clone()]);
-            let ts = kb.thread_scalar(block);
-            kb.spec(SpecKind::Move, vec![grid, ts], vec![slot], vec![d]);
-        }
-    }
 }
 
 /// Softmax over register-resident score fragments: scale, per-row max,

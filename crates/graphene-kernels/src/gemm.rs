@@ -16,18 +16,16 @@
 //! GEMM epilogues (bias / ReLU, Figure 10) fuse into the accumulator
 //! store.
 
-use crate::common::{
-    a_frags_type, acc_root_type, b_frags_type, reg_vec, smem_swizzle, stage_tile, stage_transposed,
-};
+use crate::common::{a_operand_type, reg_vec, smem_swizzle, Stager};
 use crate::mma::{
-    emit_epilogue_store_ampere, emit_epilogue_store_volta, emit_warp_mma_ampere,
-    emit_warp_mma_volta, volta_acc_ty, EpilogueOps, MmaGeom, StoreTarget, WarpCtx,
+    emit_bias_load, emit_pointwise, emit_warp_mma_ampere_scalar_loads, BlockGemm, EpilogueOps,
+    MmaGeom, StoreTarget,
 };
 use graphene_ir::builder::KernelBuilder;
 use graphene_ir::spec::SpecKind;
-use graphene_ir::tensor::TensorType;
+use graphene_ir::tensor::{TensorId, TensorType};
 use graphene_ir::{Arch, Kernel, ScalarType, UnaryOp};
-use graphene_layout::{Layout, Swizzle};
+use graphene_layout::Swizzle;
 use graphene_sym::IntExpr;
 
 /// Epilogue fused into the GEMM store (paper Figure 10).
@@ -208,231 +206,215 @@ impl GemmConfig {
 /// it, `bias:[n]`.
 pub fn build_gemm(arch: Arch, cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
     cfg.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
-    let name = format!(
-        "graphene_gemm_{}_{}",
-        match arch {
-            Arch::Sm70 => "sm70",
-            Arch::Sm86 => "sm86",
-        },
-        epilogue.label().replace('+', "_")
-    );
-    let mut kb = KernelBuilder::new(name, &[cfg.m / cfg.bm, cfg.n / cfg.bn], &[cfg.threads()]);
-    let a = kb.param("A", &[cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[cfg.m, cfg.n], ScalarType::F16);
-    let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (bm_id, bn_id) = (bids[0].clone(), bids[1].clone());
-
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
+    let (tag, a_name, comment) = match arch {
+        Arch::Sm70 => ("sm70", "Ast", "main K loop: transposed A staging, quad-pair MMAs"),
+        Arch::Sm86 => {
+            ("sm86", "As", "main K loop: stage block tiles, then warp-level tensor core MMAs")
+        }
+    };
+    let name = format!("graphene_gemm_{tag}_{}", epilogue.label().replace('+', "_"));
+    let (mut kb, g) = GemmOperands::declare(name, arch, cfg, None, epilogue, None);
     // Volta consumes A column-major (transposed stage) so quad-pair
     // fragments are vectorised loads; Ampere's ldmatrix reads rows.
-    let a_s = match arch {
-        Arch::Sm86 => kb.alloc_shared(
-            "As",
-            TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-        ),
-        Arch::Sm70 => kb.alloc_shared(
-            "Ast",
-            TensorType::row_major(&[cfg.bk, cfg.bm], ScalarType::F16).with_swizzle(sw),
-        ),
-    };
-    let b_s = kb.alloc_shared(
-        "Bs",
-        TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-    );
-
-    let body = GemmBody {
-        cfg: *cfg,
-        a,
-        b,
-        c,
-        bias,
-        epilogue,
-        bm_row0: bm_id.clone() * cfg.bm,
-        bn_col0: bn_id.clone() * cfg.bn,
-        a_s,
-        b_s,
-    };
-
-    match arch {
-        Arch::Sm86 => body.emit_ampere(&mut kb, grid, block),
-        Arch::Sm70 => body.emit_volta(&mut kb, grid, block),
-    }
+    let (a_s, b_s) = (g.a_tile(&mut kb, a_name), g.b_tile(&mut kb, "Bs"));
+    let sk = g.block_gemm(&mut kb);
+    kb.comment(comment);
+    g.k_loop(&mut kb, a_s, b_s, |kb| sk.mma(kb, a_s, b_s));
+    kb.comment("epilogue + accumulator store (fp32 -> fp16)");
+    g.store(&mut kb, &sk);
     kb.build()
 }
 
-/// Internal context for emitting the GEMM body on top of the reusable
-/// warp-level MMA emitters in [`crate::mma`].
-struct GemmBody {
+/// What every GEMM builder shares once its grid is chosen: the `A`, `B`,
+/// `C` (and `bias`) parameters, the block tile's origin, the staging of
+/// `A`/`B` K-slices into shared memory and the epilogue store.
+struct GemmOperands {
     cfg: GemmConfig,
-    a: graphene_ir::TensorId,
-    b: graphene_ir::TensorId,
-    c: graphene_ir::TensorId,
-    bias: Option<graphene_ir::TensorId>,
     epilogue: Epilogue,
-    bm_row0: IntExpr,
-    bn_col0: IntExpr,
-    a_s: graphene_ir::TensorId,
-    b_s: graphene_ir::TensorId,
+    st: Stager,
+    a: TensorId,
+    b: TensorId,
+    c: TensorId,
+    bias: Option<TensorId>,
+    /// First row of the block tile in `A` and `C` (batch offset included).
+    row0: IntExpr,
+    /// First column of the block tile in `B` and `C`.
+    col0: IntExpr,
+    /// First row of the block's problem in `B` (the batch offset).
+    b_row0: IntExpr,
+    /// The true row count when the grid over-covers `m`: `A` staging and
+    /// `C` stores are predicated against it.
+    m_bound: Option<IntExpr>,
+    /// Swizzle of the shared stages.
+    sw: Swizzle,
 }
 
-impl GemmBody {
-    fn geom(&self) -> MmaGeom {
-        MmaGeom {
-            bm: self.cfg.bm,
-            bn: self.cfg.bn,
-            wm: self.cfg.wm,
-            wn: self.cfg.wn,
-            k_cols: self.cfg.bk,
+impl GemmOperands {
+    /// Starts kernel `name` over a `ceil(m/bm) × n/bn` grid of blocks, led
+    /// by a `batch` dimension when batched, and declares the fp16
+    /// row-major parameters `A:[batch*m, k]`, `B:[batch*k, n]`,
+    /// `C:[batch*m, n]` and, when the epilogue needs it, `bias:[n]`.
+    fn declare(
+        name: impl Into<String>,
+        arch: Arch,
+        cfg: &GemmConfig,
+        batch: Option<i64>,
+        epilogue: Epilogue,
+        m_bound: Option<IntExpr>,
+    ) -> (KernelBuilder, Self) {
+        let grid_m = (cfg.m + cfg.bm - 1) / cfg.bm;
+        let grid: Vec<i64> = batch.into_iter().chain([grid_m, cfg.n / cfg.bn]).collect();
+        let nb = batch.unwrap_or(1);
+        let mut kb = KernelBuilder::new(name, &grid, &[cfg.threads()]);
+        let a = kb.param("A", &[nb * cfg.m, cfg.k], ScalarType::F16);
+        let b = kb.param("B", &[nb * cfg.k, cfg.n], ScalarType::F16);
+        let c = kb.param("C", &[nb * cfg.m, cfg.n], ScalarType::F16);
+        let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
+
+        let bids = kb.module()[kb.grid()].group_coords();
+        let [bm_id, bn_id] = &bids[bids.len() - 2..] else { unreachable!("2-D block tiles") };
+        let (mut row0, mut b_row0) = (bm_id.clone() * cfg.bm, IntExpr::zero());
+        if batch.is_some() {
+            row0 = bids[0].clone() * cfg.m + row0;
+            b_row0 = bids[0].clone() * cfg.k;
         }
+        let col0 = bn_id.clone() * cfg.bn;
+        let st = Stager::new(&kb, arch);
+        let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
+        let g = GemmOperands {
+            cfg: *cfg,
+            epilogue,
+            st,
+            a,
+            b,
+            c,
+            bias,
+            row0,
+            col0,
+            b_row0,
+            m_bound,
+            sw,
+        };
+        (kb, g)
     }
 
-    fn epilogue_ops(&self) -> EpilogueOps {
-        EpilogueOps {
-            // The bias is indexed by the *global* column: block offset
-            // plus the in-block column computed by the store emitters.
-            bias: self.bias.map(|b| (b, self.bn_col0.clone())),
+    /// The shared stage of an `A` K-slice ([`a_operand_type`]).
+    fn a_tile(&self, kb: &mut KernelBuilder, name: &str) -> TensorId {
+        kb.alloc_shared(name, a_operand_type(self.st.arch, self.cfg.bm, self.cfg.bk, self.sw))
+    }
+
+    /// The shared stage of a `B` K-slice (`[bk, bn]`).
+    fn b_tile(&self, kb: &mut KernelBuilder, name: &str) -> TensorId {
+        let ty = TensorType::row_major(&[self.cfg.bk, self.cfg.bn], ScalarType::F16);
+        kb.alloc_shared(name, ty.with_swizzle(self.sw))
+    }
+
+    /// The block GEMM skeleton over the config's tiles, accumulator zeroed.
+    fn block_gemm(&self, kb: &mut KernelBuilder) -> BlockGemm {
+        let cfg = &self.cfg;
+        let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
+        BlockGemm::zeroed(kb, self.st.arch, &geom)
+    }
+
+    /// Stages K-slice `ks` of `A` and `B` into `a_s` and `b_s`.
+    fn stage(&self, kb: &mut KernelBuilder, a_s: TensorId, b_s: TensorId, ks: IntExpr) {
+        let (cfg, st) = (&self.cfg, &self.st);
+        match &self.m_bound {
+            None => {
+                let a_col = ks.clone() * cfg.bk;
+                st.a_operand(kb, self.a, a_s, self.row0.clone(), a_col, cfg.bm, cfg.bk);
+            }
+            Some(m_bound) => {
+                // Guarded A staging: each 8-wide chunk loads only if its
+                // row is within the true m. Unloaded rows contribute
+                // garbage only to unstored accumulator rows.
+                let chunks = cfg.bm * cfg.bk / cfg.threads() / 8;
+                assert!(chunks >= 1, "partial staging needs >= 8 elems per thread");
+                let tid = kb.module()[st.block].hw_var();
+                let a_vec8 = kb.tile_c(self.a, &[Some(1), Some(8)]).expect("A vectors");
+                let as_vec8 = kb.tile_c(a_s, &[Some(1), Some(8)]).expect("As vectors");
+                for u in 0..chunks {
+                    let e = (tid.clone() * chunks + u) * 8;
+                    let (r, cc) = (e.clone() / cfg.bk, e % cfg.bk);
+                    let row = self.row0.clone() + r.clone();
+                    kb.if_lt(row.clone(), m_bound.clone(), |kb| {
+                        let sv = kb.index(a_vec8, &[row, (ks.clone() * cfg.bk + cc.clone()) / 8]);
+                        let dv = kb.index(as_vec8, &[r, cc / 8]);
+                        let ts = kb.thread_scalar(st.block);
+                        kb.spec(SpecKind::Move, vec![st.grid, ts], vec![sv], vec![dv]);
+                    });
+                }
+            }
+        }
+        let b_row = self.b_row0.clone() + ks * cfg.bk;
+        st.tile(kb, self.b, b_s, b_row, self.col0.clone(), cfg.bk, cfg.bn);
+    }
+
+    /// The single-buffered main loop: per K-slice, stage both tiles,
+    /// barrier, `mma`, barrier.
+    fn k_loop(
+        &self,
+        kb: &mut KernelBuilder,
+        a_s: TensorId,
+        b_s: TensorId,
+        mma: impl Fn(&mut KernelBuilder),
+    ) {
+        kb.for_loop("ks", self.cfg.k / self.cfg.bk, false, |kb, ks| {
+            self.stage(kb, a_s, b_s, ks);
+            kb.sync();
+            mma(kb);
+            kb.sync();
+        });
+    }
+
+    /// Applies the epilogue (bias indexed by the global column) and
+    /// stores the block tile of `C`, predicated against `m_bound` if set.
+    fn store(&self, kb: &mut KernelBuilder, sk: &BlockGemm) {
+        let ops = EpilogueOps {
+            bias: self.bias.map(|b| (b, self.col0.clone())),
             activation: self.epilogue.activation(),
-            scale: None,
-        }
-    }
-
-    fn emit_ampere(
-        &self,
-        kb: &mut KernelBuilder,
-        grid: graphene_ir::ThreadId,
-        block: graphene_ir::ThreadId,
-    ) {
-        let cfg = &self.cfg;
-        let geom = self.geom();
+        };
+        let Some(m_bound) = &self.m_bound else {
+            let (row0, col0) = (self.row0.clone(), self.col0.clone());
+            return sk.store(kb, &ops, &StoreTarget::Global { tensor: self.c, row0, col0 });
+        };
+        // The Ampere pair store of `emit_epilogue_store_ampere`, each
+        // pair guarded by its row.
+        let (cfg, grid, block) = (&self.cfg, self.st.grid, self.st.block);
         let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-        let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warp tiling");
-        let ctx = WarpCtx::new(kb, block, &geom);
-
-        let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-        let ts = kb.thread_scalar(block);
-        kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-        let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-        let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-        kb.comment("main K loop: stage block tiles, then warp-level tensor core MMAs");
-        kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-            stage_tile(
-                kb,
-                Arch::Sm86,
-                &[grid],
-                block,
-                self.a,
-                self.a_s,
-                self.bm_row0.clone(),
-                ks.clone() * cfg.bk,
-                cfg.bm,
-                cfg.bk,
-                cfg.threads(),
-            );
-            stage_tile(
-                kb,
-                Arch::Sm86,
-                &[grid],
-                block,
-                self.b,
-                self.b_s,
-                ks.clone() * cfg.bk,
-                self.bn_col0.clone(),
-                cfg.bk,
-                cfg.bn,
-                cfg.threads(),
-            );
-            kb.sync();
-            emit_warp_mma_ampere(
-                kb, grid, warp, &ctx, self.a_s, self.b_s, acc, a_frags, b_frags, &geom,
-            );
-            kb.sync();
-        });
-
-        kb.comment("epilogue + accumulator store (fp32 -> fp16)");
-        let target = StoreTarget::Global {
-            tensor: self.c,
-            row0: self.bm_row0.clone(),
-            col0: self.bn_col0.clone(),
-        };
-        emit_epilogue_store_ampere(
-            kb,
-            grid,
-            block,
-            &ctx,
-            acc,
-            &geom,
-            &self.epilogue_ops(),
-            &target,
-        );
-    }
-
-    fn emit_volta(
-        &self,
-        kb: &mut KernelBuilder,
-        grid: graphene_ir::ThreadId,
-        block: graphene_ir::ThreadId,
-    ) {
-        let cfg = &self.cfg;
-        let geom = self.geom();
-        let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 16);
-        let qp = kb
-            .thread_tile(block, &graphene_ir::atomic::quad_pair_layout())
-            .expect("quad-pair tiling");
-        let ctx = WarpCtx::new(kb, block, &geom);
-
-        let acc = kb.alloc_reg("acc", volta_acc_ty(mi_cnt, ni_cnt));
-        let ts = kb.thread_scalar(block);
-        kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-        let a_regs = kb.alloc_reg("areg", reg_vec(4 * mi_cnt, ScalarType::F16));
-        let b_regs = kb.alloc_reg("breg", reg_vec(4 * ni_cnt, ScalarType::F16));
-
-        kb.comment("main K loop: transposed A staging, quad-pair MMAs");
-        kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-            stage_transposed(
-                kb,
-                &[grid],
-                block,
-                self.a,
-                self.a_s,
-                self.bm_row0.clone(),
-                ks.clone() * cfg.bk,
-                cfg.bm,
-                cfg.bk,
-                cfg.threads(),
-            );
-            stage_tile(
-                kb,
-                Arch::Sm70,
-                &[grid],
-                block,
-                self.b,
-                self.b_s,
-                ks.clone() * cfg.bk,
-                self.bn_col0.clone(),
-                cfg.bk,
-                cfg.bn,
-                cfg.threads(),
-            );
-            kb.sync();
-            emit_warp_mma_volta(
-                kb, grid, block, qp, &ctx, self.a_s, self.b_s, acc, a_regs, b_regs, &geom,
-            );
-            kb.sync();
-        });
-
-        kb.comment("epilogue + accumulator store (fp32 -> fp16)");
-        let target = StoreTarget::Global {
-            tensor: self.c,
-            row0: self.bm_row0.clone(),
-            col0: self.bn_col0.clone(),
-        };
-        emit_epilogue_store_volta(kb, grid, block, &ctx, acc, &geom, &self.epilogue_ops(), &target);
+        let (ctx, lane) = (&sk.ctx, sk.ctx.lane.clone());
+        let c_vec2 = kb.tile_c(self.c, &[Some(1), Some(2)]).expect("C pairs");
+        let bias_vec2 = self.bias.map(|bt| kb.tile_c(bt, &[Some(2)]).expect("bias pairs"));
+        for ni in 0..ni_cnt {
+            for vp in 0..2i64 {
+                let col = self.col0.clone()
+                    + ctx.wn_id.clone() * cfg.wn
+                    + ni * 8
+                    + (lane.clone() % 4) * 2;
+                let bias_reg = bias_vec2.map(|bv| {
+                    let name = format!("biasr_{ni}_{vp}");
+                    emit_bias_load(kb, (grid, block), bv, name, 2, col.clone())
+                });
+                for mi in 0..mi_cnt {
+                    let pair = kb.view_as(
+                        sk.acc,
+                        reg_vec(2, ScalarType::F32),
+                        IntExpr::constant(mi * ni_cnt * 4 + ni * 4 + vp * 2),
+                    );
+                    emit_pointwise(kb, (grid, block), pair, bias_reg, ops.activation);
+                    let row = self.row0.clone()
+                        + ctx.wm_id.clone() * cfg.wm
+                        + mi * 16
+                        + lane.clone() / 4
+                        + vp * 8;
+                    kb.if_lt(row.clone(), m_bound.clone(), |kb| {
+                        let dst = kb.index(c_vec2, &[row, col.clone() / 2]);
+                        let ts = kb.thread_scalar(block);
+                        kb.spec(SpecKind::Move, vec![grid, ts], vec![pair], vec![dst]);
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -463,133 +445,20 @@ pub fn build_gemm_parametric_m(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
 fn build_gemm_predicated_m(
     cfg: &GemmConfig,
     epilogue: Epilogue,
-    m_bound_expr: IntExpr,
+    m_bound: IntExpr,
     name: &str,
 ) -> Kernel {
     let arch = Arch::Sm86;
     let grid_m = (cfg.m + cfg.bm - 1) / cfg.bm;
     let padded = GemmConfig { m: grid_m * cfg.bm, ..*cfg };
     padded.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
-    let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-    let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-
-    let mut kb = KernelBuilder::new(name, &[grid_m, cfg.n / cfg.bn], &[cfg.threads()]);
-    let a = kb.param("A", &[cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[cfg.m, cfg.n], ScalarType::F16);
-    let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (bm_row0, bn_col0) = (bids[0].clone() * cfg.bm, bids[1].clone() * cfg.bn);
-    let m_bound = m_bound_expr;
-
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    let a_s = kb.alloc_shared(
-        "As",
-        TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-    );
-    let b_s = kb.alloc_shared(
-        "Bs",
-        TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-    );
-
-    let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-    let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-    let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-    let tid = kb.module()[block].hw_var();
+    let (mut kb, g) = GemmOperands::declare(name, arch, cfg, None, epilogue, Some(m_bound));
+    let (a_s, b_s) = (g.a_tile(&mut kb, "As"), g.b_tile(&mut kb, "Bs"));
+    let sk = g.block_gemm(&mut kb);
     kb.comment("K loop with predicated A staging (partial row tiles)");
-    kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-        // Guarded A staging: each 8-wide chunk loads only if its row is
-        // within the true m. Unloaded rows contribute garbage only to
-        // unstored accumulator rows.
-        let chunks = cfg.bm * cfg.bk / cfg.threads() / 8;
-        assert!(chunks >= 1, "partial staging needs >= 8 elems per thread");
-        let a_vec8 = kb.tile_c(a, &[Some(1), Some(8)]).expect("A vectors");
-        let as_vec8 = kb.tile_c(a_s, &[Some(1), Some(8)]).expect("As vectors");
-        for u in 0..chunks {
-            let e = (tid.clone() * chunks + u) * 8;
-            let r = e.clone() / cfg.bk;
-            let cc = e % cfg.bk;
-            let row = bm_row0.clone() + r.clone();
-            kb.if_lt(row.clone(), m_bound.clone(), |kb| {
-                let sv = kb.index(a_vec8, &[row.clone(), (ks.clone() * cfg.bk + cc.clone()) / 8]);
-                let dv = kb.index(as_vec8, &[r.clone(), cc.clone() / 8]);
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Move, vec![grid, ts], vec![sv], vec![dv]);
-            });
-        }
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            b,
-            b_s,
-            ks.clone() * cfg.bk,
-            bn_col0.clone(),
-            cfg.bk,
-            cfg.bn,
-            cfg.threads(),
-        );
-        kb.sync();
-        emit_warp_mma_ampere(kb, grid, warp, &ctx, a_s, b_s, acc, a_frags, b_frags, &geom);
-        kb.sync();
-    });
-
+    g.k_loop(&mut kb, a_s, b_s, |kb| sk.mma(kb, a_s, b_s));
     kb.comment("predicated epilogue store");
-    let lane = ctx.lane.clone();
-    let c_vec2 = kb.tile_c(c, &[Some(1), Some(2)]).expect("C pairs");
-    let bias_vec2 = bias.map(|bt| kb.tile_c(bt, &[Some(2)]).expect("bias pairs"));
-    for ni in 0..ni_cnt {
-        for vp in 0..2i64 {
-            let col =
-                bn_col0.clone() + ctx.wn_id.clone() * cfg.wn + ni * 8 + (lane.clone() % 4) * 2;
-            let bias_reg = bias.map(|_| {
-                let r = kb.alloc_reg(format!("biasr_{ni}_{vp}"), reg_vec(2, ScalarType::F32));
-                let bsrc = kb.index(bias_vec2.unwrap(), &[col.clone() / 2]);
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Move, vec![grid, ts], vec![bsrc], vec![r]);
-                r
-            });
-            for mi in 0..mi_cnt {
-                let pair = kb.view_as(
-                    acc,
-                    reg_vec(2, ScalarType::F32),
-                    IntExpr::constant(mi * ni_cnt * 4 + ni * 4 + vp * 2),
-                );
-                if let Some(br) = bias_reg {
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(
-                        SpecKind::BinaryPointwise(graphene_ir::BinaryOp::Add),
-                        vec![grid, ts],
-                        vec![pair, br],
-                        vec![pair],
-                    );
-                }
-                if let Some(act) = epilogue.activation() {
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(SpecKind::UnaryPointwise(act), vec![grid, ts], vec![pair], vec![pair]);
-                }
-                let row = bm_row0.clone()
-                    + ctx.wm_id.clone() * cfg.wm
-                    + mi * 16
-                    + lane.clone() / 4
-                    + vp * 8;
-                kb.if_lt(row.clone(), m_bound.clone(), |kb| {
-                    let dst = kb.index(c_vec2, &[row.clone(), col.clone() / 2]);
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(SpecKind::Move, vec![grid, ts], vec![pair], vec![dst]);
-                });
-            }
-        }
-    }
+    g.store(&mut kb, &sk);
     kb.build()
 }
 
@@ -600,80 +469,13 @@ fn build_gemm_predicated_m(
 pub fn build_gemm_no_ldmatrix(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
     let arch = Arch::Sm86;
     cfg.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
-    let mut kb = KernelBuilder::new(
-        "graphene_gemm_sm86_no_ldmatrix",
-        &[cfg.m / cfg.bm, cfg.n / cfg.bn],
-        &[cfg.threads()],
-    );
-    let a = kb.param("A", &[cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[cfg.m, cfg.n], ScalarType::F16);
-    let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (bm_row0, bn_col0) = (bids[0].clone() * cfg.bm, bids[1].clone() * cfg.bn);
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    let a_s = kb.alloc_shared(
-        "As",
-        TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-    );
-    let b_s = kb.alloc_shared(
-        "Bs",
-        TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-    );
-    let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-    let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-    let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-    let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-    let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
+    let name = "graphene_gemm_sm86_no_ldmatrix";
+    let (mut kb, g) = GemmOperands::declare(name, arch, cfg, None, epilogue, None);
+    let (a_s, b_s) = (g.a_tile(&mut kb, "As"), g.b_tile(&mut kb, "Bs"));
+    let sk = g.block_gemm(&mut kb);
     kb.comment("ablation: scalar ld.shared fragment loads instead of ldmatrix");
-    kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            a,
-            a_s,
-            bm_row0.clone(),
-            ks.clone() * cfg.bk,
-            cfg.bm,
-            cfg.bk,
-            cfg.threads(),
-        );
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            b,
-            b_s,
-            ks.clone() * cfg.bk,
-            bn_col0.clone(),
-            cfg.bk,
-            cfg.bn,
-            cfg.threads(),
-        );
-        kb.sync();
-        crate::mma::emit_warp_mma_ampere_scalar_loads(
-            kb, grid, block, warp, &ctx, a_s, b_s, acc, a_frags, b_frags, &geom,
-        );
-        kb.sync();
-    });
-    let ops = EpilogueOps {
-        bias: bias.map(|bt| (bt, bn_col0.clone())),
-        activation: epilogue.activation(),
-        scale: None,
-    };
-    let target = StoreTarget::Global { tensor: c, row0: bm_row0, col0: bn_col0 };
-    emit_epilogue_store_ampere(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
+    g.k_loop(&mut kb, a_s, b_s, |kb| emit_warp_mma_ampere_scalar_loads(kb, &sk, a_s, b_s));
+    g.store(&mut kb, &sk);
     kb.build()
 }
 
@@ -688,86 +490,11 @@ pub fn build_batched_gemm(arch: Arch, cfg: &GemmConfig, batch: i64) -> Kernel {
     assert!(batch >= 1, "batch must be positive");
     assert_eq!(arch, Arch::Sm86, "the batched schedule targets Ampere");
     let name = format!("graphene_batched_gemm_sm86_x{batch}");
-    let grid_mn = (cfg.m / cfg.bm) * (cfg.n / cfg.bn);
-    let mut kb =
-        KernelBuilder::new(name, &[batch, cfg.m / cfg.bm, cfg.n / cfg.bn], &[cfg.threads()]);
-    let a = kb.param("A", &[batch * cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[batch * cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[batch * cfg.m, cfg.n], ScalarType::F16);
-    let _ = grid_mn;
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (batch_id, bm_id, bn_id) = (bids[0].clone(), bids[1].clone(), bids[2].clone());
-
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    let a_s = kb.alloc_shared(
-        "As",
-        TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-    );
-    let b_s = kb.alloc_shared(
-        "Bs",
-        TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-    );
-    let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-    let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-    let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-    let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-    let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-    // Per-instance base rows: the batch stride folded into the row offset.
-    let a_row0 = batch_id.clone() * cfg.m + bm_id.clone() * cfg.bm;
-    let b_row_base = batch_id.clone() * cfg.k;
-    let c_row0 = a_row0.clone();
-    let bn_col0 = bn_id * cfg.bn;
-
-    kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            a,
-            a_s,
-            a_row0.clone(),
-            ks.clone() * cfg.bk,
-            cfg.bm,
-            cfg.bk,
-            cfg.threads(),
-        );
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            b,
-            b_s,
-            b_row_base.clone() + ks.clone() * cfg.bk,
-            bn_col0.clone(),
-            cfg.bk,
-            cfg.bn,
-            cfg.threads(),
-        );
-        kb.sync();
-        emit_warp_mma_ampere(kb, grid, warp, &ctx, a_s, b_s, acc, a_frags, b_frags, &geom);
-        kb.sync();
-    });
-    let target = StoreTarget::Global { tensor: c, row0: c_row0, col0: bn_col0 };
-    emit_epilogue_store_ampere(
-        &mut kb,
-        grid,
-        block,
-        &ctx,
-        acc,
-        &geom,
-        &EpilogueOps::none(),
-        &target,
-    );
+    let (mut kb, g) = GemmOperands::declare(name, arch, cfg, Some(batch), Epilogue::None, None);
+    let (a_s, b_s) = (g.a_tile(&mut kb, "As"), g.b_tile(&mut kb, "Bs"));
+    let sk = g.block_gemm(&mut kb);
+    g.k_loop(&mut kb, a_s, b_s, |kb| sk.mma(kb, a_s, b_s));
+    g.store(&mut kb, &sk);
     kb.build()
 }
 
@@ -781,110 +508,36 @@ pub fn build_batched_gemm(arch: Arch, cfg: &GemmConfig, batch: i64) -> Kernel {
 pub fn build_gemm_double_buffered(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
     let arch = Arch::Sm86;
     cfg.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
-    let t = cfg.k / cfg.bk; // K slices
-    let mut kb = KernelBuilder::new(
-        "graphene_gemm_sm86_double_buffered",
-        &[cfg.m / cfg.bm, cfg.n / cfg.bn],
-        &[cfg.threads()],
-    );
-    let a = kb.param("A", &[cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[cfg.m, cfg.n], ScalarType::F16);
-    let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (bm_row0, bn_col0) = (bids[0].clone() * cfg.bm, bids[1].clone() * cfg.bn);
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    let smem_a = |kb: &mut KernelBuilder, name: &str| {
-        kb.alloc_shared(
-            name.to_string(),
-            TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-        )
-    };
-    let smem_b = |kb: &mut KernelBuilder, name: &str| {
-        kb.alloc_shared(
-            name.to_string(),
-            TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-        )
-    };
-    let a_s = [smem_a(&mut kb, "As0"), smem_a(&mut kb, "As1")];
-    let b_s = [smem_b(&mut kb, "Bs0"), smem_b(&mut kb, "Bs1")];
-
-    let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-    let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-    let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-    let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-    let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-    let stage = |kb: &mut KernelBuilder, buf: usize, k_slice: IntExpr| {
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            a,
-            a_s[buf],
-            bm_row0.clone(),
-            k_slice.clone() * cfg.bk,
-            cfg.bm,
-            cfg.bk,
-            cfg.threads(),
-        );
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            b,
-            b_s[buf],
-            k_slice * cfg.bk,
-            bn_col0.clone(),
-            cfg.bk,
-            cfg.bn,
-            cfg.threads(),
-        );
-    };
+    let t = IntExpr::constant(cfg.k / cfg.bk); // K slices
+    let name = "graphene_gemm_sm86_double_buffered";
+    let (mut kb, g) = GemmOperands::declare(name, arch, cfg, None, epilogue, None);
+    let a_s = [g.a_tile(&mut kb, "As0"), g.a_tile(&mut kb, "As1")];
+    let b_s = [g.b_tile(&mut kb, "Bs0"), g.b_tile(&mut kb, "Bs1")];
+    let sk = g.block_gemm(&mut kb);
 
     kb.comment("prologue: stage the first K slice into buffer 0");
-    stage(&mut kb, 0, IntExpr::zero());
+    g.stage(&mut kb, a_s[0], b_s[0], IntExpr::zero());
 
     kb.comment("pipelined main loop: stage the next slice while consuming the current");
-    kb.for_loop("ks2", (t + 1) / 2, false, |kb, ks2| {
+    kb.for_loop("ks2", (cfg.k / cfg.bk + 1) / 2, false, |kb, ks2| {
         kb.sync();
         // Stage slice 2*ks2+1 into buffer 1 (cp.async runs ahead of the
         // consuming math on real hardware).
-        kb.if_lt(ks2.clone() * 2 + 1, IntExpr::constant(t), |kb| {
-            stage(kb, 1, ks2.clone() * 2 + 1);
+        kb.if_lt(ks2.clone() * 2 + 1, t.clone(), |kb| {
+            g.stage(kb, a_s[1], b_s[1], ks2.clone() * 2 + 1)
         });
-        emit_warp_mma_ampere(kb, grid, warp, &ctx, a_s[0], b_s[0], acc, a_frags, b_frags, &geom);
+        sk.mma(kb, a_s[0], b_s[0]);
         kb.sync();
         // Stage slice 2*ks2+2 back into buffer 0, consume buffer 1.
-        kb.if_lt(ks2.clone() * 2 + 2, IntExpr::constant(t), |kb| {
-            stage(kb, 0, ks2.clone() * 2 + 2);
+        kb.if_lt(ks2.clone() * 2 + 2, t.clone(), |kb| {
+            g.stage(kb, a_s[0], b_s[0], ks2.clone() * 2 + 2)
         });
-        kb.if_lt(ks2.clone() * 2 + 1, IntExpr::constant(t), |kb| {
-            emit_warp_mma_ampere(
-                kb, grid, warp, &ctx, a_s[1], b_s[1], acc, a_frags, b_frags, &geom,
-            );
-        });
+        kb.if_lt(ks2.clone() * 2 + 1, t, |kb| sk.mma(kb, a_s[1], b_s[1]));
         // No trailing barrier: the consume of buffer 1 is ordered against
         // the next iteration's re-stage of buffer 1 by that iteration's
         // leading sync, so two barriers per iteration suffice.
     });
-
-    let ops = EpilogueOps {
-        bias: bias.map(|bt| (bt, bn_col0.clone())),
-        activation: epilogue.activation(),
-        scale: None,
-    };
-    let target = StoreTarget::Global { tensor: c, row0: bm_row0, col0: bn_col0 };
-    emit_epilogue_store_ampere(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
+    g.store(&mut kb, &sk);
     kb.build()
 }
 

@@ -220,12 +220,11 @@ pub fn lower_fused(graph: &Graph, arch: Arch) -> Plan {
     let ops = &graph.ops;
 
     while i < ops.len() {
-        // Pattern: N >= 2 consecutive square MLP layers, hidden <= 128,
-        // on Ampere-or-Volta -> the fused multi-layer MLP kernel.
+        // Pattern: N >= 2 consecutive square MLP layers the fused
+        // multi-layer MLP kernel accepts (hidden <= 128, whole tiles).
         let mlp_layers = count_mlp_layers(ops, i, cols);
-        if mlp_layers >= 2 && cols <= 128 && rows % 128 == 0 && cols % 16 == 0 {
-            let cfg =
-                MlpConfig { m: rows, hidden: cols, layers: mlp_layers, bm: 128, wm: 64, wn: 64 };
+        let cfg = MlpConfig { m: rows, hidden: cols, layers: mlp_layers, bm: 128, wm: 64, wn: 64 };
+        if mlp_layers >= 2 && cfg.validate(arch).is_ok() {
             kernels.push(Planned::Graphene(Box::new(build_fused_mlp(arch, &cfg))));
             i += 3 * mlp_layers as usize;
             continue;

@@ -9,18 +9,11 @@
 //! accumulates straight into the first GEMM's register accumulators, and
 //! the bias + activation fold into the store.
 
-use crate::common::{
-    a_frags_type, acc_root_type, b_frags_type, reg_vec, stage_tile, stage_transposed,
-};
-use crate::mma::{
-    emit_epilogue_store_ampere, emit_epilogue_store_volta, emit_warp_mma_ampere,
-    emit_warp_mma_volta, volta_acc_ty, EpilogueOps, MmaGeom, StoreTarget, WarpCtx,
-};
+use crate::common::{a_operand_type, smem_swizzle, Stager};
+use crate::mma::{BlockGemm, EpilogueOps, MmaGeom, StoreTarget};
 use graphene_ir::builder::KernelBuilder;
-use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::TensorType;
 use graphene_ir::{Arch, Kernel, ScalarType, UnaryOp};
-use graphene_layout::Layout;
 use graphene_sym::IntExpr;
 
 /// LSTM-cell configuration.
@@ -57,6 +50,38 @@ impl LstmConfig {
     pub fn blocks(&self) -> i64 {
         self.m / self.bm
     }
+
+    /// Checks every rule the fused LSTM schedule needs on `arch` —
+    /// positive sizes, `hidden <= 128`, row tiling, the block GEMM's
+    /// tiling ([`MmaGeom::validate`]) and the shared-memory budget. The
+    /// builder (which panics on violation) and the catalog (which
+    /// reports it) share it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated rule as a human-readable message.
+    pub fn validate(&self, arch: Arch) -> Result<(), String> {
+        if self.m <= 0 {
+            return Err(format!("m must be positive, got {}", self.m));
+        }
+        if self.hidden > 128 {
+            return Err(format!(
+                "hidden={} exceeds 128: weight tiles must fit in shared memory",
+                self.hidden
+            ));
+        }
+        self.geom().validate(arch)?;
+        if self.m % self.bm != 0 {
+            return Err(format!("row tiling: m={} not divisible by bm={}", self.m, self.bm));
+        }
+        // The activation stage + the weight stage, fp16.
+        let smem = ((self.bm * self.hidden + self.hidden * self.hidden) * 2) as u64;
+        let limit = arch.smem_limit_bytes();
+        if smem > limit {
+            return Err(format!("shared-memory budget: {smem} B exceeds {limit} B"));
+        }
+        Ok(())
+    }
 }
 
 /// Builds the fully fused LSTM-cell kernel
@@ -64,144 +89,45 @@ impl LstmConfig {
 ///
 /// Parameters: `X:[m,h]`, `Wx:[h,h]`, `H:[m,h]`, `Wh:[h,h]`, `bias:[h]`,
 /// `Out:[m,h]`, all fp16 with fp32 accumulation.
+///
+/// # Panics
+///
+/// Panics if [`LstmConfig::validate`] rejects `cfg` on `arch`.
 pub fn build_fused_lstm(arch: Arch, cfg: &LstmConfig) -> Kernel {
-    assert!(cfg.hidden <= 128, "weight tiles must fit in shared memory");
-    assert_eq!(cfg.m % cfg.bm, 0, "row tiling");
-    let geom = cfg.geom();
-
+    cfg.validate(arch).unwrap_or_else(|e| panic!("invalid LSTM configuration: {e}"));
+    let h = cfg.hidden;
     let mut kb = KernelBuilder::new("graphene_fused_lstm", &[cfg.blocks()], &[cfg.threads()]);
-    let x = kb.param("X", &[cfg.m, cfg.hidden], ScalarType::F16);
-    let wx = kb.param("Wx", &[cfg.hidden, cfg.hidden], ScalarType::F16);
-    let h = kb.param("H", &[cfg.m, cfg.hidden], ScalarType::F16);
-    let wh = kb.param("Wh", &[cfg.hidden, cfg.hidden], ScalarType::F16);
-    let bias = kb.param("bias", &[cfg.hidden], ScalarType::F16);
-    let out = kb.param("Out", &[cfg.m, cfg.hidden], ScalarType::F16);
+    let x = kb.param("X", &[cfg.m, h], ScalarType::F16);
+    let wx = kb.param("Wx", &[h, h], ScalarType::F16);
+    let hx = kb.param("H", &[cfg.m, h], ScalarType::F16);
+    let wh = kb.param("Wh", &[h, h], ScalarType::F16);
+    let bias = kb.param("bias", &[h], ScalarType::F16);
+    let out = kb.param("Out", &[cfg.m, h], ScalarType::F16);
 
-    let grid = kb.grid();
-    let block = kb.block();
-    let bid = kb.module()[grid].group_coords()[0].clone();
-    let row0 = bid * cfg.bm;
+    let row0 = kb.module()[kb.grid()].group_coords()[0].clone() * cfg.bm;
+    let st = Stager::new(&kb, arch);
 
-    // One activation stage and one weight stage, reused for both GEMMs
-    // (swizzled; Volta keeps the activation transposed for vectorised
-    // quad-pair A-fragment loads).
-    let sw = crate::common::smem_swizzle();
-    let act_dims = match arch {
-        Arch::Sm86 => [cfg.bm, cfg.hidden],
-        Arch::Sm70 => [cfg.hidden, cfg.bm],
-    };
-    let act_s =
-        kb.alloc_shared("Act", TensorType::row_major(&act_dims, ScalarType::F16).with_swizzle(sw));
-    let w_s = kb.alloc_shared(
-        "Wt",
-        TensorType::row_major(&[cfg.hidden, cfg.hidden], ScalarType::F16).with_swizzle(sw),
-    );
-
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let ops = EpilogueOps {
-        bias: Some((bias, IntExpr::zero())),
-        activation: Some(UnaryOp::Relu),
-        scale: None,
-    };
-    let target = StoreTarget::Global { tensor: out, row0: row0.clone(), col0: IntExpr::zero() };
+    // One activation stage and one weight stage, reused for both GEMMs.
+    let sw = smem_swizzle();
+    let act_s = kb.alloc_shared("Act", a_operand_type(arch, cfg.bm, h, sw));
+    let w_s =
+        kb.alloc_shared("Wt", TensorType::row_major(&[h, h], ScalarType::F16).with_swizzle(sw));
 
     // The two (activation, weight) GEMM passes, accumulating into the
     // same registers — the add-node of the dataflow graph is free.
-    let passes = [(x, wx, "X x Wx"), (h, wh, "H x Wh")];
-
-    match arch {
-        Arch::Sm86 => {
-            let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-            let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-            let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-            let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-            let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-            let ts = kb.thread_scalar(block);
-            kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-            for (act, wt, label) in passes {
-                kb.comment(format!("GEMM pass: {label} (accumulating)"));
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    act,
-                    act_s,
-                    row0.clone(),
-                    IntExpr::zero(),
-                    cfg.bm,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    wt,
-                    w_s,
-                    IntExpr::zero(),
-                    IntExpr::zero(),
-                    cfg.hidden,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                kb.sync();
-                emit_warp_mma_ampere(
-                    &mut kb, grid, warp, &ctx, act_s, w_s, acc, a_frags, b_frags, &geom,
-                );
-                kb.sync();
-            }
-            kb.comment("bias + relu epilogue, store");
-            emit_epilogue_store_ampere(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-        }
-        Arch::Sm70 => {
-            let qp = kb
-                .thread_tile(block, &graphene_ir::atomic::quad_pair_layout())
-                .expect("quad pairs");
-            let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 16);
-            let acc = kb.alloc_reg("acc", volta_acc_ty(mi_cnt, ni_cnt));
-            let a_regs = kb.alloc_reg("areg", reg_vec(4 * mi_cnt, ScalarType::F16));
-            let b_regs = kb.alloc_reg("breg", reg_vec(4 * ni_cnt, ScalarType::F16));
-            let ts = kb.thread_scalar(block);
-            kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-            for (act, wt, label) in passes {
-                kb.comment(format!("GEMM pass: {label} (accumulating)"));
-                stage_transposed(
-                    &mut kb,
-                    &[grid],
-                    block,
-                    act,
-                    act_s,
-                    row0.clone(),
-                    IntExpr::zero(),
-                    cfg.bm,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    wt,
-                    w_s,
-                    IntExpr::zero(),
-                    IntExpr::zero(),
-                    cfg.hidden,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                kb.sync();
-                emit_warp_mma_volta(
-                    &mut kb, grid, block, qp, &ctx, act_s, w_s, acc, a_regs, b_regs, &geom,
-                );
-                kb.sync();
-            }
-            kb.comment("bias + relu epilogue, store");
-            emit_epilogue_store_volta(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-        }
+    let sk = BlockGemm::new(&mut kb, arch, &cfg.geom());
+    sk.zero_acc(&mut kb);
+    for (act, wt, label) in [(x, wx, "X x Wx"), (hx, wh, "H x Wh")] {
+        kb.comment(format!("GEMM pass: {label} (accumulating)"));
+        st.a_operand(&mut kb, act, act_s, row0.clone(), IntExpr::zero(), cfg.bm, h);
+        st.tile(&mut kb, wt, w_s, IntExpr::zero(), IntExpr::zero(), h, h);
+        kb.sync();
+        sk.mma(&mut kb, act_s, w_s);
+        kb.sync();
     }
+    kb.comment("bias + relu epilogue, store");
+    let ops = EpilogueOps { bias: Some((bias, IntExpr::zero())), activation: Some(UnaryOp::Relu) };
+    sk.store(&mut kb, &ops, &StoreTarget::Global { tensor: out, row0, col0: IntExpr::zero() });
     kb.build()
 }
 

@@ -14,18 +14,11 @@
 //! memory — exactly the traffic and launch overhead this fusion
 //! eliminates.
 
-use crate::common::{
-    a_frags_type, acc_root_type, b_frags_type, reg_vec, stage_tile, stage_transposed, unstage_tile,
-};
-use crate::mma::{
-    emit_epilogue_store_ampere, emit_epilogue_store_volta, emit_warp_mma_ampere,
-    emit_warp_mma_volta, volta_acc_ty, EpilogueOps, MmaGeom, StoreTarget, WarpCtx,
-};
+use crate::common::{a_operand_type, smem_swizzle, Stager};
+use crate::mma::{BlockGemm, EpilogueOps, MmaGeom, StoreTarget};
 use graphene_ir::builder::KernelBuilder;
-use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::TensorType;
 use graphene_ir::{Arch, Kernel, ScalarType, UnaryOp};
-use graphene_layout::Layout;
 use graphene_sym::IntExpr;
 
 /// Fused-MLP configuration.
@@ -64,6 +57,41 @@ impl MlpConfig {
     pub fn blocks(&self) -> i64 {
         self.m / self.bm
     }
+
+    /// Checks every rule the fused MLP schedule needs on `arch` —
+    /// positive sizes, the paper's fusibility condition, row tiling, the
+    /// block GEMM's tiling ([`MmaGeom::validate`]) and the shared-memory
+    /// budget. The builder (which panics on violation), the catalog and
+    /// the tuner's candidate filter (which report it) share it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated rule as a human-readable message.
+    pub fn validate(&self, arch: Arch) -> Result<(), String> {
+        if self.m <= 0 || self.layers <= 0 {
+            return Err(format!(
+                "m and layers must be positive, got m={} layers={}",
+                self.m, self.layers
+            ));
+        }
+        if self.hidden > 128 || self.hidden % 16 != 0 {
+            return Err(format!(
+                "fusibility: hidden={} (N = K <= 128 and a multiple of 16, paper footnote 2)",
+                self.hidden
+            ));
+        }
+        self.geom().validate(arch)?;
+        if self.m % self.bm != 0 {
+            return Err(format!("row tiling: m={} not divisible by bm={}", self.m, self.bm));
+        }
+        // Ping-pong activations + the weight stage, fp16.
+        let smem = ((2 * self.bm * self.hidden + self.hidden * self.hidden) * 2) as u64;
+        let limit = arch.smem_limit_bytes();
+        if smem > limit {
+            return Err(format!("shared-memory budget: {smem} B exceeds {limit} B"));
+        }
+        Ok(())
+    }
 }
 
 /// Builds the fused `L`-layer MLP kernel:
@@ -72,165 +100,59 @@ impl MlpConfig {
 ///
 /// Parameters: `X:[m,h]`, `W:[L*h,h]` (layer-major), `bias:[L*h]`,
 /// `Y:[m,h]`, all fp16.
+///
+/// # Panics
+///
+/// Panics if [`MlpConfig::validate`] rejects `cfg` on `arch`.
 pub fn build_fused_mlp(arch: Arch, cfg: &MlpConfig) -> Kernel {
-    assert!(cfg.hidden <= 128, "fusibility requires N = K <= 128 (paper footnote 2)");
-    assert_eq!(cfg.m % cfg.bm, 0, "row tiling");
-    assert_eq!(cfg.hidden % 16, 0, "K tiling");
-    let geom = cfg.geom();
-
+    cfg.validate(arch).unwrap_or_else(|e| panic!("invalid MLP configuration: {e}"));
+    let h = cfg.hidden;
     let mut kb = KernelBuilder::new(
         format!("graphene_fused_mlp_{}l", cfg.layers),
         &[cfg.blocks()],
         &[cfg.threads()],
     );
-    let x = kb.param("X", &[cfg.m, cfg.hidden], ScalarType::F16);
-    let w = kb.param("W", &[cfg.layers * cfg.hidden, cfg.hidden], ScalarType::F16);
-    let bias = kb.param("bias", &[cfg.layers * cfg.hidden], ScalarType::F16);
-    let y = kb.param("Y", &[cfg.m, cfg.hidden], ScalarType::F16);
+    let x = kb.param("X", &[cfg.m, h], ScalarType::F16);
+    let w = kb.param("W", &[cfg.layers * h, h], ScalarType::F16);
+    let bias = kb.param("bias", &[cfg.layers * h], ScalarType::F16);
+    let y = kb.param("Y", &[cfg.m, h], ScalarType::F16);
 
-    let grid = kb.grid();
-    let block = kb.block();
-    let bid = kb.module()[grid].group_coords()[0].clone();
-    let row0 = bid * cfg.bm;
+    let row0 = kb.module()[kb.grid()].group_coords()[0].clone() * cfg.bm;
+    let st = Stager::new(&kb, arch);
 
-    // Activation ping-pong buffers and the weight stage (swizzled for
-    // conflict-free access). On Volta the activations live transposed
-    // ([hidden, bm]) so quad-pair A fragments are vectorised loads.
-    let sw = crate::common::smem_swizzle();
-    let act_dims = match arch {
-        Arch::Sm86 => [cfg.bm, cfg.hidden],
-        Arch::Sm70 => [cfg.hidden, cfg.bm],
-    };
-    let xs0 =
-        kb.alloc_shared("Xs0", TensorType::row_major(&act_dims, ScalarType::F16).with_swizzle(sw));
-    let xs1 =
-        kb.alloc_shared("Xs1", TensorType::row_major(&act_dims, ScalarType::F16).with_swizzle(sw));
-    let ws = kb.alloc_shared(
-        "Ws",
-        TensorType::row_major(&[cfg.hidden, cfg.hidden], ScalarType::F16).with_swizzle(sw),
-    );
-
-    let ctx = WarpCtx::new(&kb, block, &geom);
+    // Activation ping-pong buffers (A operands of successive layers) and
+    // the weight stage, swizzled for conflict-free access.
+    let sw = smem_swizzle();
+    let xs0 = kb.alloc_shared("Xs0", a_operand_type(arch, cfg.bm, h, sw));
+    let xs1 = kb.alloc_shared("Xs1", a_operand_type(arch, cfg.bm, h, sw));
+    let ws =
+        kb.alloc_shared("Ws", TensorType::row_major(&[h, h], ScalarType::F16).with_swizzle(sw));
 
     kb.comment("stage the block's activation rows once");
-    match arch {
-        Arch::Sm86 => stage_tile(
-            &mut kb,
-            arch,
-            &[grid],
-            block,
-            x,
-            xs0,
-            row0.clone(),
-            IntExpr::zero(),
-            cfg.bm,
-            cfg.hidden,
-            cfg.threads(),
-        ),
-        Arch::Sm70 => stage_transposed(
-            &mut kb,
-            &[grid],
-            block,
-            x,
-            xs0,
-            row0.clone(),
-            IntExpr::zero(),
-            cfg.bm,
-            cfg.hidden,
-            cfg.threads(),
-        ),
-    }
+    st.a_operand(&mut kb, x, xs0, row0.clone(), IntExpr::zero(), cfg.bm, h);
 
-    match arch {
-        Arch::Sm86 => {
-            let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-            let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-            let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-            let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-            let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-            for l in 0..cfg.layers {
-                kb.comment(format!("layer {l}: stage weights, GEMM, bias+relu to smem"));
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    w,
-                    ws,
-                    IntExpr::constant(l * cfg.hidden),
-                    IntExpr::zero(),
-                    cfg.hidden,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                kb.sync();
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-                let (src, dst) = if l % 2 == 0 { (xs0, xs1) } else { (xs1, xs0) };
-                emit_warp_mma_ampere(
-                    &mut kb, grid, warp, &ctx, src, ws, acc, a_frags, b_frags, &geom,
-                );
-                let ops = EpilogueOps {
-                    bias: Some((bias, IntExpr::constant(l * cfg.hidden))),
-                    activation: Some(UnaryOp::Relu),
-                    scale: None,
-                };
-                let target = if l + 1 == cfg.layers {
-                    StoreTarget::Global { tensor: y, row0: row0.clone(), col0: IntExpr::zero() }
-                } else {
-                    StoreTarget::Shared { tensor: dst }
-                };
-                emit_epilogue_store_ampere(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-                kb.sync();
-            }
-        }
-        Arch::Sm70 => {
-            let qp = kb
-                .thread_tile(block, &graphene_ir::atomic::quad_pair_layout())
-                .expect("quad pairs");
-            let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 16);
-            let acc = kb.alloc_reg("acc", volta_acc_ty(mi_cnt, ni_cnt));
-            let a_regs = kb.alloc_reg("areg", reg_vec(4 * mi_cnt, ScalarType::F16));
-            let b_regs = kb.alloc_reg("breg", reg_vec(4 * ni_cnt, ScalarType::F16));
-            for l in 0..cfg.layers {
-                kb.comment(format!("layer {l}: stage weights, GEMM, bias+relu to smem"));
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    w,
-                    ws,
-                    IntExpr::constant(l * cfg.hidden),
-                    IntExpr::zero(),
-                    cfg.hidden,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                kb.sync();
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-                let (src, dst) = if l % 2 == 0 { (xs0, xs1) } else { (xs1, xs0) };
-                emit_warp_mma_volta(
-                    &mut kb, grid, block, qp, &ctx, src, ws, acc, a_regs, b_regs, &geom,
-                );
-                let ops = EpilogueOps {
-                    bias: Some((bias, IntExpr::constant(l * cfg.hidden))),
-                    activation: Some(UnaryOp::Relu),
-                    scale: None,
-                };
-                let target = if l + 1 == cfg.layers {
-                    StoreTarget::Global { tensor: y, row0: row0.clone(), col0: IntExpr::zero() }
-                } else {
-                    StoreTarget::Shared { tensor: dst }
-                };
-                emit_epilogue_store_volta(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-                kb.sync();
-            }
-        }
+    let sk = BlockGemm::new(&mut kb, arch, &cfg.geom());
+    for l in 0..cfg.layers {
+        kb.comment(format!("layer {l}: stage weights, GEMM, bias+relu to smem"));
+        st.tile(&mut kb, w, ws, IntExpr::constant(l * h), IntExpr::zero(), h, h);
+        kb.sync();
+        sk.zero_acc(&mut kb);
+        let (src, dst) = if l % 2 == 0 { (xs0, xs1) } else { (xs1, xs0) };
+        sk.mma(&mut kb, src, ws);
+        let ops = EpilogueOps {
+            bias: Some((bias, IntExpr::constant(l * h))),
+            activation: Some(UnaryOp::Relu),
+        };
+        // The last layer stores straight to global memory; the others
+        // feed the next layer's A operand in shared memory.
+        let target = if l + 1 == cfg.layers {
+            StoreTarget::Global { tensor: y, row0: row0.clone(), col0: IntExpr::zero() }
+        } else {
+            StoreTarget::Shared { tensor: dst }
+        };
+        sk.store(&mut kb, &ops, &target);
+        kb.sync();
     }
-    // Note: the final layer stored directly to global, so no unstage step.
-    let _ = unstage_tile; // (used by other fused kernels)
     kb.build()
 }
 

@@ -7,13 +7,20 @@
 //! shared-memory tensors* inside a single kernel. This is precisely what
 //! makes Graphene's fusions expressible: the same decomposable specs
 //! compose whether their operands live in global or shared memory.
+//!
+//! [`BlockGemm`] is the one skeleton every tensor-core builder (the GEMM
+//! family, fused MLP and LSTM) runs on: it owns the thread tile, the
+//! accumulator and the fragment registers, and picks the Ampere or
+//! Volta emitters, so a builder states only its grid, operands, staging
+//! and epilogue.
 
-use crate::common::{reg_scalar, reg_vec};
+use crate::common::{a_frags_type, acc_root_type, b_frags_type, reg_scalar, reg_vec};
+use graphene_ir::atomic::quad_pair_layout;
 use graphene_ir::builder::KernelBuilder;
 use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::{Elem, TensorId, TensorType};
 use graphene_ir::threads::ThreadId;
-use graphene_ir::{BinaryOp, ScalarType, UnaryOp};
+use graphene_ir::{Arch, BinaryOp, ScalarType, UnaryOp};
 use graphene_layout::{it, Layout, Swizzle};
 use graphene_sym::IntExpr;
 
@@ -43,6 +50,48 @@ impl MmaGeom {
     pub fn threads(&self) -> i64 {
         self.warps() * 32
     }
+
+    /// Checks the tiling rules a [`BlockGemm`] over this geometry needs
+    /// on `arch`: positive extents, whole warp tiles that fit the tensor
+    /// instruction, 1–8 warps, and A (`bm × k_cols`) and B
+    /// (`k_cols × bn`) tiles that stage in 8-wide vectors over the
+    /// block's threads.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated rule as a human-readable message.
+    pub fn validate(&self, arch: Arch) -> Result<(), String> {
+        let MmaGeom { bm, bn, wm, wn, k_cols } = *self;
+        if [bm, bn, wm, wn, k_cols].iter().any(|&v| v <= 0) {
+            return Err(format!(
+                "tile extents must be positive: {bm}x{bn}x{k_cols}, warp {wm}x{wn}"
+            ));
+        }
+        if bm % wm != 0 || bn % wn != 0 {
+            return Err(format!("warp tiling: {bm}x{bn} does not tile by {wm}x{wn}"));
+        }
+        let (m, n, k, instr) = match arch {
+            Arch::Sm86 => (16, 8, 16, "mma.m16n8k16"),
+            Arch::Sm70 => (16, 16, 4, "quad-pair mma.m8n8k4"),
+        };
+        if wm % m != 0 || wn % n != 0 || k_cols % k != 0 {
+            return Err(format!(
+                "warp tile {wm}x{wn}, K {k_cols} vs {instr} (wm%{m}, wn%{n}, K%{k})"
+            ));
+        }
+        let warps = self.warps();
+        if !(1..=8).contains(&warps) {
+            return Err(format!("{warps} warps per block (1..=8 supported)"));
+        }
+        let vectors = self.threads() * 8;
+        if (bm * k_cols) % vectors != 0 || (k_cols * bn) % vectors != 0 {
+            return Err(format!(
+                "staging: {bm}x{k_cols} / {k_cols}x{bn} tiles vs {} threads x8 vectors",
+                self.threads()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Per-warp index expressions shared by the emitters.
@@ -63,6 +112,136 @@ impl WarpCtx {
         let warp_id = tid / 32;
         let wn_cnt = geom.bn / geom.wn;
         WarpCtx { lane, wm_id: warp_id.clone() / wn_cnt, wn_id: warp_id % wn_cnt }
+    }
+}
+
+/// The block-level GEMM skeleton every tensor-core builder shares: the
+/// thread tile the MMA instruction runs on (a warp on Ampere, a
+/// quad-pair on Volta), the warp decomposition, the fp32 accumulator and
+/// the fragment registers. [`Self::mma`] and [`Self::store`] dispatch to
+/// the architecture's emitters, so a builder states only its grid,
+/// operands, staging and epilogue.
+pub struct BlockGemm {
+    arch: Arch,
+    grid: ThreadId,
+    block: ThreadId,
+    /// The MMA's thread tile: a warp (Ampere) or a quad-pair (Volta).
+    tile: ThreadId,
+    /// The warp decomposition of the block's threads.
+    pub(crate) ctx: WarpCtx,
+    /// The accumulator registers.
+    pub(crate) acc: TensorId,
+    a_frags: TensorId,
+    b_frags: TensorId,
+    geom: MmaGeom,
+}
+
+impl BlockGemm {
+    /// Allocates the thread tile, the accumulator and the fragment
+    /// registers of a block GEMM over the kernel's grid and block; the
+    /// accumulator is left for [`Self::zero_acc`].
+    pub fn new(kb: &mut KernelBuilder, arch: Arch, geom: &MmaGeom) -> Self {
+        Self::alloc(kb, arch, geom, false)
+    }
+
+    /// [`Self::new`], zeroing the accumulator right after allocating it
+    /// (before the fragment registers).
+    pub fn zeroed(kb: &mut KernelBuilder, arch: Arch, geom: &MmaGeom) -> Self {
+        Self::alloc(kb, arch, geom, true)
+    }
+
+    fn alloc(kb: &mut KernelBuilder, arch: Arch, geom: &MmaGeom, zero: bool) -> Self {
+        let (grid, block, mi_cnt) = (kb.grid(), kb.block(), geom.wm / 16);
+        let (tile, acc_ty, a_frags, b_frags) = match arch {
+            Arch::Sm86 => (
+                kb.thread_tile(block, &Layout::contiguous(32)).expect("warp tiling"),
+                acc_root_type(mi_cnt, geom.wn / 8),
+                ("afrag", a_frags_type(mi_cnt)),
+                ("bfrag", b_frags_type(geom.wn / 8)),
+            ),
+            Arch::Sm70 => (
+                kb.thread_tile(block, &quad_pair_layout()).expect("quad-pair tiling"),
+                volta_acc_ty(mi_cnt, geom.wn / 16),
+                ("areg", reg_vec(4 * mi_cnt, ScalarType::F16)),
+                ("breg", reg_vec(4 * (geom.wn / 16), ScalarType::F16)),
+            ),
+        };
+        let ctx = WarpCtx::new(kb, block, geom);
+        let acc = kb.alloc_reg("acc", acc_ty);
+        if zero {
+            emit_zero(kb, grid, block, acc);
+        }
+        let a_frags = kb.alloc_reg(a_frags.0, a_frags.1);
+        let b_frags = kb.alloc_reg(b_frags.0, b_frags.1);
+        BlockGemm { arch, grid, block, tile, ctx, acc, a_frags, b_frags, geom: *geom }
+    }
+
+    /// Zeroes the accumulator.
+    pub fn zero_acc(&self, kb: &mut KernelBuilder) {
+        emit_zero(kb, self.grid, self.block, self.acc);
+    }
+
+    /// `acc += a_s × b_s` over the geometry's `k_cols`, with the shared
+    /// A tile laid out by [`crate::common::a_operand_type`].
+    pub fn mma(&self, kb: &mut KernelBuilder, a_s: TensorId, b_s: TensorId) {
+        let (grid, ctx, acc, geom) = (self.grid, &self.ctx, self.acc, &self.geom);
+        let (af, bf) = (self.a_frags, self.b_frags);
+        match self.arch {
+            Arch::Sm86 => {
+                emit_warp_mma_ampere(kb, grid, self.tile, ctx, a_s, b_s, acc, af, bf, geom)
+            }
+            Arch::Sm70 => emit_warp_mma_volta(kb, self, a_s, b_s),
+        }
+    }
+
+    /// Applies `ops` to the accumulator and stores it to `target`.
+    pub fn store(&self, kb: &mut KernelBuilder, ops: &EpilogueOps, target: &StoreTarget) {
+        let (grid, block, ctx, acc, geom) =
+            (self.grid, self.block, &self.ctx, self.acc, &self.geom);
+        match self.arch {
+            Arch::Sm86 => emit_epilogue_store_ampere(kb, grid, block, ctx, acc, geom, ops, target),
+            Arch::Sm70 => emit_epilogue_store_volta(kb, self, ops, target),
+        }
+    }
+}
+
+fn emit_zero(kb: &mut KernelBuilder, grid: ThreadId, block: ThreadId, acc: TensorId) {
+    let ts = kb.thread_scalar(block);
+    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
+}
+
+/// Loads the `width` bias values starting at column `col` from
+/// `bias_vec` (the bias tiled into `width`-vectors) into a fresh fp32
+/// register `name`.
+pub(crate) fn emit_bias_load(
+    kb: &mut KernelBuilder,
+    (grid, block): (ThreadId, ThreadId),
+    bias_vec: TensorId,
+    name: String,
+    width: i64,
+    col: IntExpr,
+) -> TensorId {
+    let r = kb.alloc_reg(name, reg_vec(width, ScalarType::F32));
+    let bsrc = kb.index(bias_vec, &[col / width]);
+    let ts = kb.thread_scalar(block);
+    kb.spec(SpecKind::Move, vec![grid, ts], vec![bsrc], vec![r]);
+    r
+}
+
+/// Adds the loaded `bias` to the accumulator slice `frag`, then applies
+/// the `activation`.
+pub(crate) fn emit_pointwise(
+    kb: &mut KernelBuilder,
+    (grid, block): (ThreadId, ThreadId),
+    frag: TensorId,
+    bias: Option<TensorId>,
+    activation: Option<UnaryOp>,
+) {
+    let add = bias.map(|br| (SpecKind::BinaryPointwise(BinaryOp::Add), vec![frag, br]));
+    let act = activation.map(|a| (SpecKind::UnaryPointwise(a), vec![frag]));
+    for (kind, ins) in add.into_iter().chain(act) {
+        let ts = kb.thread_scalar(block);
+        kb.spec(kind, vec![grid, ts], ins, vec![frag]);
     }
 }
 
@@ -146,21 +325,16 @@ pub fn emit_warp_mma_ampere(
 /// `ldmatrix` — the "equivalent but simpler data movements" of the
 /// paper's §2, which reports GEMM slowdowns of up to 17% from this
 /// substitution. Used by the `ldmatrix_ablation` bench.
-#[allow(clippy::too_many_arguments)]
 pub fn emit_warp_mma_ampere_scalar_loads(
     kb: &mut KernelBuilder,
-    grid: ThreadId,
-    block: ThreadId,
-    warp: ThreadId,
-    ctx: &WarpCtx,
+    sk: &BlockGemm,
     a_s: TensorId,
     b_s: TensorId,
-    acc: TensorId,
-    a_frags: TensorId,
-    b_frags: TensorId,
-    geom: &MmaGeom,
 ) {
     use graphene_ir::atomic::fragments as frag;
+    assert_eq!(sk.arch, Arch::Sm86, "scalar fragment loads feed mma.m16n8k16");
+    let (grid, block, warp, ctx, geom) = (sk.grid, sk.block, sk.tile, &sk.ctx, &sk.geom);
+    let (acc, a_frags, b_frags) = (sk.acc, sk.a_frags, sk.b_frags);
     let (mi_cnt, ni_cnt, kf_cnt) = (geom.wm / 16, geom.wn / 8, geom.k_cols / 16);
     let lane = &ctx.lane;
 
@@ -246,20 +420,17 @@ pub struct EpilogueOps {
     pub bias: Option<(TensorId, IntExpr)>,
     /// Activation applied after the bias.
     pub activation: Option<UnaryOp>,
-    /// Scale every element by a constant before bias/activation
-    /// (attention's `1/sqrt(d)`).
-    pub scale: Option<f64>,
 }
 
 impl EpilogueOps {
     /// No epilogue.
     pub fn none() -> Self {
-        EpilogueOps { bias: None, activation: None, scale: None }
+        EpilogueOps { bias: None, activation: None }
     }
 }
 
 /// Emits the Ampere epilogue + store of a `wm/16 × wn/8` accumulator:
-/// per fragment row-half, a `[2]`-wide fp32 pair is (optionally) scaled,
+/// per fragment row-half, a `[2]`-wide fp32 pair is (optionally)
 /// biased and activated, then stored converted to fp16.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_epilogue_store_ampere(
@@ -285,12 +456,15 @@ pub fn emit_epilogue_store_ampere(
         for vp in 0..2i64 {
             let col_in_block = ctx.wn_id.clone() * geom.wn + ni * 8 + (lane.clone() % 4) * 2;
             let bias_reg = ops.bias.as_ref().map(|(_, bias_col0)| {
-                let r = kb.alloc_reg(format!("biasr_{ni}_{vp}"), reg_vec(2, ScalarType::F32));
-                let bsrc =
-                    kb.index(bias_vec2.unwrap(), &[(bias_col0.clone() + col_in_block.clone()) / 2]);
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Move, vec![grid, ts], vec![bsrc], vec![r]);
-                r
+                let col = bias_col0.clone() + col_in_block.clone();
+                emit_bias_load(
+                    kb,
+                    (grid, block),
+                    bias_vec2.unwrap(),
+                    format!("biasr_{ni}_{vp}"),
+                    2,
+                    col,
+                )
             });
             for mi in 0..mi_cnt {
                 let pair = kb.view_as(
@@ -298,32 +472,7 @@ pub fn emit_epilogue_store_ampere(
                     reg_vec(2, ScalarType::F32),
                     IntExpr::constant(mi * ni_cnt * 4 + ni * 4 + vp * 2),
                 );
-                if let Some(s) = ops.scale {
-                    let sreg =
-                        kb.alloc_reg(format!("scale_{ni}_{vp}_{mi}"), reg_vec(2, ScalarType::F32));
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(SpecKind::Init { value: s }, vec![grid, ts], vec![], vec![sreg]);
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(
-                        SpecKind::BinaryPointwise(BinaryOp::Mul),
-                        vec![grid, ts],
-                        vec![pair, sreg],
-                        vec![pair],
-                    );
-                }
-                if let Some(br) = bias_reg {
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(
-                        SpecKind::BinaryPointwise(BinaryOp::Add),
-                        vec![grid, ts],
-                        vec![pair, br],
-                        vec![pair],
-                    );
-                }
-                if let Some(act) = ops.activation {
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(SpecKind::UnaryPointwise(act), vec![grid, ts], vec![pair], vec![pair]);
-                }
+                emit_pointwise(kb, (grid, block), pair, bias_reg, ops.activation);
                 let row_in_block =
                     ctx.wm_id.clone() * geom.wm + mi * 16 + lane.clone() / 4 + vp * 8;
                 let (row, col) = match target {
@@ -346,23 +495,11 @@ pub fn emit_epilogue_store_ampere(
 /// `a_s` holds the A tile **transposed** (`[k_cols, bm]`) so each
 /// thread's 4-row A fragment is one vectorised shared-memory load —
 /// the standard Volta-era layout trick. Fragments are loaded once per
-/// `(mi, kf)` / `(ni, kf)` and reused across the warp tile; the caller
-/// allocates `a_regs`/`b_regs` with `4 * wm/16` and `4 * wn/16`
-/// fp16 values.
-#[allow(clippy::too_many_arguments)]
-pub fn emit_warp_mma_volta(
-    kb: &mut KernelBuilder,
-    grid: ThreadId,
-    block: ThreadId,
-    qp: ThreadId,
-    ctx: &WarpCtx,
-    a_s: TensorId,
-    b_s: TensorId,
-    acc: TensorId,
-    a_regs: TensorId,
-    b_regs: TensorId,
-    geom: &MmaGeom,
-) {
+/// `(mi, kf)` / `(ni, kf)` into the skeleton's `4 * wm/16` and
+/// `4 * wn/16` fp16 fragment registers and reused across the warp tile.
+fn emit_warp_mma_volta(kb: &mut KernelBuilder, sk: &BlockGemm, a_s: TensorId, b_s: TensorId) {
+    let (grid, block, qp, ctx, geom) = (sk.grid, sk.block, sk.tile, &sk.ctx, &sk.geom);
+    let (acc, a_regs, b_regs) = (sk.acc, sk.a_frags, sk.b_frags);
     let (mi_cnt, ni_cnt, kf_cnt) = (geom.wm / 16, geom.wn / 16, geom.k_cols / 4);
     let lane = &ctx.lane;
     let qp_id = (lane.clone() % 16) / 4;
@@ -440,17 +577,13 @@ pub fn volta_acc_ty(mi: i64, ni: i64) -> TensorType {
 
 /// Emits the Volta epilogue + store (each thread owns 2 rows × 4
 /// contiguous columns per fragment).
-#[allow(clippy::too_many_arguments)]
-pub fn emit_epilogue_store_volta(
+fn emit_epilogue_store_volta(
     kb: &mut KernelBuilder,
-    grid: ThreadId,
-    block: ThreadId,
-    ctx: &WarpCtx,
-    acc: TensorId,
-    geom: &MmaGeom,
+    sk: &BlockGemm,
     ops: &EpilogueOps,
     target: &StoreTarget,
 ) {
+    let (grid, block, ctx, acc, geom) = (sk.grid, sk.block, &sk.ctx, sk.acc, &sk.geom);
     let (mi_cnt, ni_cnt) = (geom.wm / 16, geom.wn / 16);
     let lane = &ctx.lane;
     let qp_id = (lane.clone() % 16) / 4;
@@ -472,12 +605,15 @@ pub fn emit_epilogue_store_volta(
             let n_base = ctx.wn_id.clone() * geom.wn + ni * 16 + qpn.clone() * 8;
             let col_base = n_base.clone() + (lane.clone() / 16) * 4;
             let bias_reg = ops.bias.as_ref().map(|(_, bias_col0)| {
-                let r = kb.alloc_reg(format!("biasr_{mi}_{ni}"), reg_vec(4, ScalarType::F32));
-                let bsrc =
-                    kb.index(bias_vec4.unwrap(), &[(bias_col0.clone() + col_base.clone()) / 4]);
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Move, vec![grid, ts], vec![bsrc], vec![r]);
-                r
+                let col = bias_col0.clone() + col_base.clone();
+                emit_bias_load(
+                    kb,
+                    (grid, block),
+                    bias_vec4.unwrap(),
+                    format!("biasr_{mi}_{ni}"),
+                    4,
+                    col,
+                )
             });
             for h in 0..2i64 {
                 let quad = kb.view_as(
@@ -485,32 +621,7 @@ pub fn emit_epilogue_store_volta(
                     reg_vec(4, ScalarType::F32),
                     IntExpr::constant(mi * ni_cnt * 8 + ni * 8 + h * 4),
                 );
-                if let Some(s) = ops.scale {
-                    let sreg =
-                        kb.alloc_reg(format!("scale_{mi}_{ni}_{h}"), reg_vec(4, ScalarType::F32));
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(SpecKind::Init { value: s }, vec![grid, ts], vec![], vec![sreg]);
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(
-                        SpecKind::BinaryPointwise(BinaryOp::Mul),
-                        vec![grid, ts],
-                        vec![quad, sreg],
-                        vec![quad],
-                    );
-                }
-                if let Some(br) = bias_reg {
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(
-                        SpecKind::BinaryPointwise(BinaryOp::Add),
-                        vec![grid, ts],
-                        vec![quad, br],
-                        vec![quad],
-                    );
-                }
-                if let Some(act) = ops.activation {
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(SpecKind::UnaryPointwise(act), vec![grid, ts], vec![quad], vec![quad]);
-                }
+                emit_pointwise(kb, (grid, block), quad, bias_reg, ops.activation);
                 let row_in_block = m_base.clone() + (lane.clone() % 4) * 2 + h;
                 match target {
                     StoreTarget::Global { tensor: _, row0, col0 } => {

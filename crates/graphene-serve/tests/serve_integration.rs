@@ -161,6 +161,19 @@ fn queue_wait_deadline_rejects_stale_connections() {
     a.request(r#"{"cmd":"stats"}"#).unwrap();
 
     let mut b = Connection::connect(&addr, TIMEOUT).expect("connect B");
+    // Wait until the accept loop has queued B, so B's enqueue time is
+    // fixed before the 400 ms wait starts (a busy machine may otherwise
+    // accept B late and leave it fresh).
+    let queued = |a: &mut Connection| {
+        let stats = parse(&a.request(r#"{"cmd":"stats"}"#).unwrap()).unwrap();
+        get(&stats, &["queued"]).as_i64().unwrap()
+    };
+    let mut polls = 0;
+    while queued(&mut a) < 1 {
+        polls += 1;
+        assert!(polls < 6000, "B never reached the admission queue");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     std::thread::sleep(Duration::from_millis(400));
     drop(a); // frees the worker, which now pops B — stale by 400 ms
 
@@ -173,5 +186,26 @@ fn queue_wait_deadline_rejects_stale_connections() {
     assert!(get(&stats, &["deadline_rejected"]).as_i64().unwrap() >= 1);
 
     c.request(r#"{"cmd":"shutdown"}"#).unwrap();
+    handle.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn out_of_range_size_does_not_cost_a_worker() {
+    // One worker: a bad size that panicked a builder would kill it, and
+    // every later connection would wait forever.
+    let opts = ServeOptions { workers: 1, ..Default::default() };
+    let (addr, handle) = spawn_server(opts);
+
+    let mut a = Connection::connect(&addr, TIMEOUT).expect("connect A");
+    let bad = parse(&a.request(r#"{"cmd":"lint","kernel":"mlp","hidden":256}"#).unwrap()).unwrap();
+    assert_eq!(bad.get("ok"), Some(&Json::Bool(false)), "{bad:?}");
+    assert!(get(&bad, &["error"]).as_str().unwrap().contains("hidden=256"), "{bad:?}");
+    drop(a);
+
+    let mut b = Connection::connect(&addr, TIMEOUT).expect("connect B");
+    let stats = parse(&b.request(r#"{"cmd":"stats"}"#).unwrap()).unwrap();
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
+
+    b.request(r#"{"cmd":"shutdown"}"#).unwrap();
     handle.join().expect("server thread").expect("server run");
 }

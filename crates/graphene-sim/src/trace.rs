@@ -497,10 +497,13 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruMap<K, V> {
     }
 }
 
-/// Default [`TraceCache`] capacity. Each trace holds the unrolled step
-/// and address arenas of one kernel instance (megabytes at paper
-/// sizes), so the bound is what makes long-lived many-shape traffic —
-/// the serve-daemon pattern — safe.
+/// Default [`TraceCache`] capacity, counted in **traces, not bytes**.
+/// Each trace holds the unrolled step and address arenas of one kernel
+/// instance, from kilobytes for small problems to over a gigabyte at
+/// catalog defaults (the 1024³ GEMM's optimized trace is about 1.38 GB).
+/// The bound therefore caps how many distinct shapes stay resident in
+/// long-lived many-shape traffic (the serve-daemon pattern), but not
+/// the memory they use; [`TraceCache::resident_bytes`] reports that.
 pub const TRACE_CACHE_CAPACITY: usize = 256;
 
 /// Memoizes recorded traces per [`TraceKey`], in

@@ -502,52 +502,7 @@ impl SearchSpace for MlpSpace {
     }
 
     fn constraint(&self, p: &Point) -> Result<(), String> {
-        let c = self.config(p);
-        if self.hidden > 128 || self.hidden % 16 != 0 {
-            return Err(format!("fusibility: hidden={} (N=K<=128, %16)", self.hidden));
-        }
-        if self.m % c.bm != 0 {
-            return Err(format!("row tiling: m={} not divisible by bm={}", self.m, c.bm));
-        }
-        if c.bm % c.wm != 0 || self.hidden % c.wn != 0 {
-            return Err(format!(
-                "warp tiling: {}x{} does not tile by {}x{}",
-                c.bm, self.hidden, c.wm, c.wn
-            ));
-        }
-        match self.arch {
-            Arch::Sm86 if c.wm % 16 != 0 || c.wn % 8 != 0 => {
-                return Err(format!("warp tile {}x{} vs mma.m16n8k16 (wm%16, wn%8)", c.wm, c.wn));
-            }
-            Arch::Sm70 if c.wm % 16 != 0 || c.wn % 16 != 0 => {
-                return Err(format!("warp tile {}x{} vs quad-pairs (wm%16, wn%16)", c.wm, c.wn));
-            }
-            _ => {}
-        }
-        let warps = (c.bm / c.wm) * (self.hidden / c.wn);
-        if !(1..=8).contains(&warps) {
-            return Err(format!("{warps} warps per block (1..=8 supported)"));
-        }
-        let threads = warps * 32;
-        if (c.bm * self.hidden) % (threads * 8) != 0 {
-            return Err(format!(
-                "activation staging: {}x{} tile vs {threads} threads x8 vectors",
-                c.bm, self.hidden
-            ));
-        }
-        if (self.hidden * self.hidden) % (threads * 8) != 0 {
-            return Err(format!(
-                "weight staging: {0}x{0} tile vs {threads} threads x8 vectors",
-                self.hidden
-            ));
-        }
-        // Ping-pong activations + the weight stage, fp16.
-        let smem = ((2 * c.bm * self.hidden + self.hidden * self.hidden) * 2) as u64;
-        let limit = self.arch.smem_limit_bytes();
-        if smem > limit {
-            return Err(format!("shared-memory budget: {smem} B exceeds {limit} B"));
-        }
-        Ok(())
+        self.config(p).validate(self.arch)
     }
 
     fn build(&self, p: &Point) -> Kernel {
