@@ -174,6 +174,16 @@ impl GemmConfig {
                         self.wm, self.wn
                     ));
                 }
+                // The transposed A staging moves 8 scalars per thread.
+                let per_pass = self.threads() * 8;
+                if (self.bm * self.bk) % per_pass != 0 {
+                    return Err(format!(
+                        "transposed A staging (Volta): {}x{} tile not divisible by {} threads x 8",
+                        self.bm,
+                        self.bk,
+                        self.threads()
+                    ));
+                }
             }
         }
         let warps = self.warps();
@@ -663,6 +673,19 @@ mod tests {
         assert!(smem.validate(Arch::Sm86).unwrap_err().contains("shared-memory budget"));
         let volta_bk = GemmConfig { bk: 6, ..ok };
         assert!(volta_bk.validate(Arch::Sm70).unwrap_err().contains("K tiling"));
+        // Passes every other rule but would panic in the Volta build.
+        let volta_a = GemmConfig {
+            m: 32,
+            n: 32,
+            k: 4,
+            bm: 32,
+            bn: 32,
+            bk: 4,
+            wm: 16,
+            wn: 16,
+            swizzle: false,
+        };
+        assert!(volta_a.validate(Arch::Sm70).unwrap_err().contains("transposed A staging"));
     }
 }
 

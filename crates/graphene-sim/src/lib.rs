@@ -23,17 +23,19 @@
 //! lowers a kernel to slot-indexed address plans and precomputed lane
 //! tables ([`plan`]), and [`execute_plan`] interprets the plan — with
 //! independent CTAs running concurrently under [`ExecMode::Parallel`]
-//! while staying bit-identical to sequential execution ([`run`]). The
+//! while staying bit-identical to sequential execution ([`run`], whose
+//! one block scheduler also drives trace replay). The
 //! original statement-tree interpreter is retained as
 //! [`execute_reference`], the oracle every other engine is tested
 //! against.
 //!
 //! On top of the compiled engine sits record-once/replay-many
 //! execution — the CUDA-graph analog: [`record_trace`] captures one
-//! instrumented run as a flat straight-line program ([`trace`]), the
-//! trace optimizer ([`optimize_trace`], [`trace_opt`]) lowers it into
-//! an [`OptTrace`] whose address slices are compact affine
-//! descriptors, and [`replay_opt`](replay_opt()) re-runs that against
+//! instrumented run as a flat straight-line program ([`trace`]), an
+//! [`OptTrace`] whose operands are raw gather spans; the trace
+//! optimizer ([`optimize_trace`], [`trace_opt`]) rewrites those spans
+//! into compact affine descriptors, and [`replay_opt`](replay_opt())
+//! re-runs either form against
 //! fresh inputs with no dispatch, no symbolic environment and no
 //! address emission, contiguous steps at memcpy speed. A
 //! [`TraceCache`] keeps one optimized trace per (kernel, problem,
@@ -85,6 +87,6 @@ pub use prove::{
 pub use replay::{replay_opt, replay_opt_with};
 pub use run::{execute_plan, ExecMode};
 pub use timing::{time_kernel, time_sequence, KernelProfile};
-pub use trace::{record_trace, Trace, TraceCache, TraceKey};
+pub use trace::{record_trace, TraceCache, TraceKey};
 pub use trace_opt::{optimize_trace, record_opt_trace, OptStats, OptTrace};
 pub use workspace::{plan_workspace, NodeUse, TempPlan, WorkspacePlan};

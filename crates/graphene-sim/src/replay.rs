@@ -1,5 +1,5 @@
-//! Replay execution: re-run an optimized trace ([`OptTrace`]) against
-//! fresh inputs.
+//! Replay execution: re-run a trace ([`OptTrace`]) against fresh
+//! inputs.
 //!
 //! A replay is a single pass over a straight-line program: no `CSpec`
 //! dispatch, no symbolic environment, no guard evaluation, no
@@ -8,46 +8,21 @@
 //! buffers. Counters were captured at record time (they are
 //! input-independent) and are returned unchanged.
 //!
-//! Like the compiled executor ([`crate::run`]), independent CTAs can
-//! replay concurrently: workers chunk the recorded blocks, each owns a
-//! private snapshot of the global buffers, logs its global writes, and
-//! the logs merge **in ascending block order** — bit-identical to the
-//! sequential replay whenever no CTA reads another CTA's writes.
+//! Blocks are scheduled by the plan engine's scheduler
+//! (`run::run_grid`): under a parallel [`ExecMode`] each worker
+//! replays a contiguous chunk of blocks on private buffers, and its
+//! write set is computed after the run from the global spans its steps
+//! write — bit-identical to the sequential replay whenever no CTA reads
+//! another CTA's writes.
 
 use crate::exec::{ExecError, ExecOutcome};
-use crate::run::ExecMode;
-use crate::trace_opt::{LaneRef, OTp, OptTrace, Span};
-use std::collections::HashMap;
-
+use crate::run::{bind_inputs, run_grid, BlockRunner, ExecMode, WriteSet};
+use crate::trace_opt::{Access, LaneRef, OTp, OptTrace, Span};
 use graphene_ir::tensor::TensorId;
+use std::collections::HashMap;
+use std::ops::Range;
 
-/// Validates `inputs` against the trace's parameters and produces the
-/// unified buffer table (globals in params order, then zeroed shared
-/// and register buffers).
-fn initial_bufs(
-    trace: &OptTrace,
-    inputs: &HashMap<TensorId, Vec<f32>>,
-) -> Result<Vec<Vec<f32>>, ExecError> {
-    let mut bufs = Vec::with_capacity(trace.buf_lens.len());
-    for (p, name, want) in &trace.params {
-        match inputs.get(p) {
-            Some(b) if b.len() != *want => {
-                return Err(ExecError::BadInput(format!(
-                    "param %{} expects {} scalars, got {}",
-                    name,
-                    want,
-                    b.len()
-                )))
-            }
-            Some(b) => bufs.push(b.clone()),
-            None => bufs.push(vec![0.0; *want]),
-        }
-    }
-    bufs.extend(trace.buf_lens[trace.n_globals..].iter().map(|&len| vec![0.0; len]));
-    Ok(bufs)
-}
-
-/// Replays an optimized trace sequentially against `inputs` — the
+/// Replays a trace sequentially against `inputs` — the
 /// coalesced fast path: contiguous copies run as `copy_from_slice`,
 /// contiguous element-wise steps as tight slice loops, strided/lane
 /// spans as stepped loops, and only residual gathers walk an address
@@ -65,8 +40,7 @@ pub fn replay_opt(
 }
 
 /// Like [`replay_opt`], with an explicit [`ExecMode`] selecting
-/// sequential or parallel CTA replay. The parallel merge logs whole written runs instead of
-/// scalar writes, so coalesced steps stay coalesced across the merge.
+/// sequential or parallel CTA replay.
 ///
 /// # Errors
 ///
@@ -76,71 +50,13 @@ pub fn replay_opt_with(
     inputs: &HashMap<TensorId, Vec<f32>>,
     mode: ExecMode,
 ) -> Result<ExecOutcome, ExecError> {
-    let init = initial_bufs(trace, inputs)?;
-    let grid = trace.blocks.len();
-    let workers = match mode {
-        ExecMode::Sequential => 1,
-        ExecMode::Parallel => {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(grid.max(1))
-        }
-        ExecMode::Workers(n) => n.max(1).min(grid.max(1)),
-    };
-    let globals = if workers <= 1 || grid <= 1 {
-        let mut cta = OptCta { trace, bufs: init, log: None };
-        for b in 0..grid {
-            cta.run_block(b);
-        }
-        cta.bufs.truncate(trace.n_globals);
-        cta.bufs
-    } else {
-        run_parallel_opt(trace, init, workers)
-    };
+    let init = bind_inputs(&trace.params, inputs)?;
+    let (globals, _) = run_grid(trace.blocks.len(), mode, init, |mut bufs| {
+        bufs.extend(trace.buf_lens[trace.n_globals..].iter().map(|&len| vec![0.0; len]));
+        OptCta { trace, bufs }
+    })?;
     let globals = trace.params.iter().map(|(p, _, _)| *p).zip(globals).collect::<HashMap<_, _>>();
     Ok(ExecOutcome { globals, counters: trace.counters })
-}
-
-fn run_parallel_opt(trace: &OptTrace, init: Vec<Vec<f32>>, workers: usize) -> Vec<Vec<f32>> {
-    let grid = trace.blocks.len();
-    let chunk = grid.div_ceil(workers);
-    let mut logs: Vec<Vec<OWrite>> = vec![Vec::new(); grid];
-    let init_ref = &init;
-    std::thread::scope(|s| {
-        for (w, log_chunk) in (0..workers).zip(logs.chunks_mut(chunk)) {
-            s.spawn(move || {
-                let mut cta = OptCta { trace, bufs: init_ref.clone(), log: Some(Vec::new()) };
-                for (i, slot) in log_chunk.iter_mut().enumerate() {
-                    cta.run_block(w * chunk + i);
-                    *slot = std::mem::take(cta.log.as_mut().expect("log installed"));
-                }
-            });
-        }
-    });
-    // Deterministic merge: apply every block's writes in block order;
-    // run entries splat whole slices, scalar entries single elements.
-    let mut globals = init;
-    globals.truncate(trace.n_globals);
-    for log in &logs {
-        for rec in log {
-            match rec {
-                OWrite::Run { buf, start, vals } => {
-                    let s = *start as usize;
-                    globals[*buf as usize][s..s + vals.len()].copy_from_slice(vals);
-                }
-                OWrite::At { buf, addr, val } => {
-                    globals[*buf as usize][*addr as usize] = *val;
-                }
-            }
-        }
-    }
-    globals
-}
-
-/// One logged global write of an optimized parallel replay: either a
-/// whole contiguous run (from a coalesced step) or a scalar.
-#[derive(Debug, Clone)]
-enum OWrite {
-    Run { buf: u32, start: u32, vals: Vec<f32> },
-    At { buf: u32, addr: u32, val: f32 },
 }
 
 /// Zero-dispatch address streams: a [`Span`] resolves to one concrete
@@ -392,11 +308,43 @@ fn load_mat<const R: usize, const C: usize>(
     }
 }
 
-/// Per-worker optimized replay state.
+/// Per-worker replay state: the unified buffer table (globals, then
+/// shared, then register files).
 struct OptCta<'t> {
     trace: &'t OptTrace,
     bufs: Vec<Vec<f32>>,
-    log: Option<Vec<OWrite>>,
+}
+
+impl BlockRunner for OptCta<'_> {
+    fn run_block(&mut self, b: usize) -> Result<(), ExecError> {
+        self.replay_block(b);
+        Ok(())
+    }
+
+    fn take_globals(&mut self) -> Vec<Vec<f32>> {
+        let mut globals = std::mem::take(&mut self.bufs);
+        globals.truncate(self.trace.n_globals);
+        globals
+    }
+
+    /// Every address a written global span of `blocks` covers. Exact:
+    /// each span lists precisely the addresses its step writes
+    /// (collective fragments are register-only).
+    fn written(&mut self, blocks: Range<usize>) -> WriteSet {
+        let t = self.trace;
+        let mut set = WriteSet::new(t.buf_lens[..t.n_globals].iter().copied());
+        let steps = t.blocks[blocks.start].0 as usize..t.blocks[blocks.end - 1].1 as usize;
+        for step in &t.steps[steps] {
+            step.spans(|buf, span, lanes, per, access| {
+                if access != Access::Read && (buf as usize) < t.n_globals {
+                    for i in 0..(lanes * per) as usize {
+                        set.mark(buf as usize, span.at(&t.gather, i));
+                    }
+                }
+            });
+        }
+        set
+    }
 }
 
 impl OptCta<'_> {
@@ -408,37 +356,6 @@ impl OptCta<'_> {
     #[inline]
     fn put(&mut self, buf: u32, addr: usize, v: f32) {
         self.bufs[buf as usize][addr] = v;
-        if (buf as usize) < self.trace.n_globals {
-            if let Some(log) = &mut self.log {
-                log.push(OWrite::At { buf, addr: addr as u32, val: v });
-            }
-        }
-    }
-
-    /// Logs a contiguous run already written to `buf` at `start`.
-    #[inline]
-    fn log_run(&mut self, buf: u32, start: usize, n: usize) {
-        if (buf as usize) < self.trace.n_globals && self.log.is_some() {
-            let vals = self.bufs[buf as usize][start..start + n].to_vec();
-            if let Some(log) = &mut self.log {
-                log.push(OWrite::Run { buf, start: start as u32, vals });
-            }
-        }
-    }
-
-    /// Logs every destination row a bulk arm just wrote — only when the
-    /// parallel merge needs it (`log` installed and `buf` global).
-    #[inline]
-    fn log_chunks2(&mut self, buf: u32, da: Span, n: usize) {
-        if (buf as usize) < self.trace.n_globals && self.log.is_some() {
-            let Some((d0, dl, dp)) = rows1(da, n) else { return };
-            let mut i = 0usize;
-            while i < n {
-                let d = (d0 + (i / dp) as i64 * dl) as usize;
-                self.log_run(buf, d, dp.min(n - i));
-                i += dp;
-            }
-        }
     }
 
     /// Dense tensor-core MMA: fragment operands were permuted into
@@ -471,28 +388,20 @@ impl OptCta<'_> {
                 cmx[mi][ni] += acc[ni];
             }
         }
-        if (c as usize) < self.trace.n_globals && self.log.is_some() {
+        let cb = &mut self.bufs[c as usize];
+        if let Span::Gather { start } = cm {
+            let tbl = &g[start as usize..start as usize + M * N];
+            for (r, row) in cmx.iter().enumerate() {
+                for (ni, v) in row.iter().enumerate() {
+                    cb[tbl[r * N + ni] as usize] = *v;
+                }
+            }
+        } else {
             let mut i = 0;
             each1!(cm, g, M * N, |addr| {
-                self.put(c, addr, cmx[i / N][i % N]);
+                cb[addr] = cmx[i / N][i % N];
                 i += 1;
             });
-        } else {
-            let cb = &mut self.bufs[c as usize];
-            if let Span::Gather { start } = cm {
-                let tbl = &g[start as usize..start as usize + M * N];
-                for (r, row) in cmx.iter().enumerate() {
-                    for (ni, v) in row.iter().enumerate() {
-                        cb[tbl[r * N + ni] as usize] = *v;
-                    }
-                }
-            } else {
-                let mut i = 0;
-                each1!(cm, g, M * N, |addr| {
-                    cb[addr] = cmx[i / N][i % N];
-                    i += 1;
-                });
-            }
         }
     }
 
@@ -515,105 +424,69 @@ impl OptCta<'_> {
     // interpreter's operand order exactly — bit-identity is a hard
     // contract here.
     #[allow(clippy::too_many_lines, clippy::assign_op_pattern)]
-    fn run_block(&mut self, b: usize) {
+    fn replay_block(&mut self, b: usize) {
         let t = self.trace;
         let (start, end) = t.blocks[b];
         let g: &[u32] = &t.gather;
         use graphene_ir::atomic::fragments as frag;
         for step in &t.steps[start as usize..end as usize] {
             match *step {
-                OTp::Fill { buf } => {
-                    self.bufs[buf as usize].fill(0.0);
-                    // Never a global (plans reject global allocs), so
-                    // no logging for the parallel merge.
-                }
+                OTp::Fill { buf } => self.bufs[buf as usize].fill(0.0),
                 OTp::Copy { src, dst, sa, da, n } => {
                     let n = n as usize;
-                    let logged = (dst as usize) < t.n_globals && self.log.is_some();
-                    let bulk = src != dst && {
-                        let (s, d) = self.pair(src, dst);
-                        chunks2(sa, da, n, |si, di, len| {
-                            d[di..di + len].copy_from_slice(&s[si..si + len]);
-                        })
-                    };
-                    if bulk {
-                        self.log_chunks2(dst, da, n);
-                    } else if src != dst && !logged {
-                        let (s, d) = self.pair(src, dst);
+                    if src == dst {
+                        let d = &mut self.bufs[dst as usize];
+                        zip2!(sa, da, g, n, |si, di| d[di] = d[si]);
+                        continue;
+                    }
+                    let (s, d) = self.pair(src, dst);
+                    let bulk = chunks2(sa, da, n, |si, di, len| {
+                        d[di..di + len].copy_from_slice(&s[si..si + len]);
+                    });
+                    if !bulk {
                         zip2!(sa, da, g, n, |si, di| d[di] = s[si]);
-                    } else {
-                        zip2!(sa, da, g, n, |s, d| {
-                            let v = self.get(src, s);
-                            self.put(dst, d, v);
-                        });
                     }
                 }
                 OTp::Unary { op, src, dst, sa, da, n } => {
                     let n = n as usize;
-                    let bulk = src != dst && {
-                        let (s, d) = self.pair(src, dst);
-                        chunks2(sa, da, n, |si, di, len| {
-                            for (x, y) in s[si..si + len].iter().zip(&mut d[di..di + len]) {
-                                *y = op.apply(f64::from(*x)) as f32;
-                            }
-                        })
-                    };
-                    if bulk {
-                        self.log_chunks2(dst, da, n);
-                    } else if src != dst && !((dst as usize) < t.n_globals && self.log.is_some()) {
-                        let (s, d) = self.pair(src, dst);
-                        zip2!(sa, da, g, n, |si, di| {
-                            d[di] = op.apply(f64::from(s[si])) as f32;
-                        });
-                    } else if !((dst as usize) < t.n_globals && self.log.is_some()) {
-                        // src == dst: in-place, element order preserved.
+                    if src == dst {
+                        // In place, element order preserved.
                         let d = &mut self.bufs[dst as usize];
                         zip2!(sa, da, g, n, |si, di| {
                             d[di] = op.apply(f64::from(d[si])) as f32;
                         });
-                    } else {
-                        zip2!(sa, da, g, n, |s, d| {
-                            let v = self.get(src, s);
-                            self.put(dst, d, op.apply(f64::from(v)) as f32);
+                        continue;
+                    }
+                    let (s, d) = self.pair(src, dst);
+                    let bulk = chunks2(sa, da, n, |si, di, len| {
+                        for (x, y) in s[si..si + len].iter().zip(&mut d[di..di + len]) {
+                            *y = op.apply(f64::from(*x)) as f32;
+                        }
+                    });
+                    if !bulk {
+                        zip2!(sa, da, g, n, |si, di| {
+                            d[di] = op.apply(f64::from(s[si])) as f32;
                         });
                     }
                 }
                 OTp::Binary { op, a, b, dst, aa, ba, da, n } => {
                     let n = n as usize;
-                    let bulk = a != dst && b != dst && {
+                    if a != dst && b != dst {
                         let mut dvec = std::mem::take(&mut self.bufs[dst as usize]);
-                        let hit = {
-                            let av = &self.bufs[a as usize];
-                            let bv = &self.bufs[b as usize];
-                            chunks3(aa, ba, da, n, |ia, ib, id, len| {
-                                let (xs, ys) = (&av[ia..ia + len], &bv[ib..ib + len]);
-                                for ((x, y), o) in xs.iter().zip(ys).zip(&mut dvec[id..id + len]) {
-                                    *o = op.apply(f64::from(*x), f64::from(*y)) as f32;
-                                }
-                            })
-                        };
-                        self.bufs[dst as usize] = dvec;
-                        hit
-                    };
-                    if bulk {
-                        self.log_chunks2(dst, da, n);
-                    } else if a != dst
-                        && b != dst
-                        && !((dst as usize) < t.n_globals && self.log.is_some())
-                    {
-                        let mut dvec = std::mem::take(&mut self.bufs[dst as usize]);
-                        {
-                            let av = &self.bufs[a as usize];
-                            let bv = &self.bufs[b as usize];
+                        let (av, bv) = (&self.bufs[a as usize], &self.bufs[b as usize]);
+                        let bulk = chunks3(aa, ba, da, n, |ia, ib, id, len| {
+                            let (xs, ys) = (&av[ia..ia + len], &bv[ib..ib + len]);
+                            for ((x, y), o) in xs.iter().zip(ys).zip(&mut dvec[id..id + len]) {
+                                *o = op.apply(f64::from(*x), f64::from(*y)) as f32;
+                            }
+                        });
+                        if !bulk {
                             zip3!(aa, ba, da, g, n, |ia, ib, id| {
                                 dvec[id] = op.apply(f64::from(av[ia]), f64::from(bv[ib])) as f32;
                             });
                         }
                         self.bufs[dst as usize] = dvec;
-                    } else if a == dst
-                        && b != dst
-                        && !((dst as usize) < t.n_globals && self.log.is_some())
-                    {
+                    } else if a == dst && b != dst {
                         // In-place accumulate: read/write the same
                         // buffer in element order, like the plan
                         // interpreter.
@@ -631,31 +504,16 @@ impl OptCta<'_> {
                 }
                 OTp::Fma { a, b, c, aa, ba, ca, n } => {
                     let n = n as usize;
-                    let bulk = a != c && b != c && {
+                    if a != c && b != c {
                         let mut cvec = std::mem::take(&mut self.bufs[c as usize]);
-                        let hit = {
-                            let av = &self.bufs[a as usize];
-                            let bv = &self.bufs[b as usize];
-                            chunks3(aa, ba, ca, n, |ia, ib, ic, len| {
-                                let (xs, ys) = (&av[ia..ia + len], &bv[ib..ib + len]);
-                                for ((x, y), o) in xs.iter().zip(ys).zip(&mut cvec[ic..ic + len]) {
-                                    *o = x * y + *o;
-                                }
-                            })
-                        };
-                        self.bufs[c as usize] = cvec;
-                        hit
-                    };
-                    if bulk {
-                        self.log_chunks2(c, ca, n);
-                    } else if a != c
-                        && b != c
-                        && !((c as usize) < t.n_globals && self.log.is_some())
-                    {
-                        let mut cvec = std::mem::take(&mut self.bufs[c as usize]);
-                        {
-                            let av = &self.bufs[a as usize];
-                            let bv = &self.bufs[b as usize];
+                        let (av, bv) = (&self.bufs[a as usize], &self.bufs[b as usize]);
+                        let bulk = chunks3(aa, ba, ca, n, |ia, ib, ic, len| {
+                            let (xs, ys) = (&av[ia..ia + len], &bv[ib..ib + len]);
+                            for ((x, y), o) in xs.iter().zip(ys).zip(&mut cvec[ic..ic + len]) {
+                                *o = x * y + *o;
+                            }
+                        });
+                        if !bulk {
                             zip3!(aa, ba, ca, g, n, |ia, ib, ic| {
                                 cvec[ic] = av[ia] * bv[ib] + cvec[ic];
                             });
@@ -672,17 +530,9 @@ impl OptCta<'_> {
                 }
                 OTp::Init { value, dst, da, n } => {
                     let n = n as usize;
-                    if n == 0 {
-                        continue;
-                    }
-                    let bulk = {
-                        let dbuf = &mut self.bufs[dst as usize];
-                        chunks2(da, da, n, |_, di, len| dbuf[di..di + len].fill(value))
-                    };
-                    if bulk {
-                        self.log_chunks2(dst, da, n);
-                    } else {
-                        each1!(da, g, n, |d| self.put(dst, d, value));
+                    let d = &mut self.bufs[dst as usize];
+                    if n > 0 && !chunks2(da, da, n, |_, di, len| d[di..di + len].fill(value)) {
+                        each1!(da, g, n, |di| d[di] = value);
                     }
                 }
                 OTp::Reduce { op, src, dst, sa, da, groups, per } => {

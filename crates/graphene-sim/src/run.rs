@@ -1,4 +1,4 @@
-//! Plan execution: sequential and parallel CTA interpretation.
+//! Plan execution, and the one block scheduler every CTA engine shares.
 //!
 //! Executes a [`KernelPlan`] — the compiled form of a kernel (see
 //! [`crate::plan`]) — with no hashing, no atomic-spec re-matching, and
@@ -7,12 +7,13 @@
 //! fixed 32-entry [`BankTally`], and register files are flat
 //! per-tensor arrays indexed by `thread * len + addr`.
 //!
-//! Independent CTAs execute concurrently under
-//! [`ExecMode::Parallel`] via `std::thread::scope`: each worker owns a
-//! private snapshot of the global buffers plus per-CTA shared/register
-//! state, records its global writes in a per-block log, and the logs
-//! are merged **in ascending block order** — so results and counters
-//! are bit-identical to [`ExecMode::Sequential`] whenever no CTA reads
+//! `run_grid` schedules the blocks of both the plan engine and the
+//! trace replay ([`crate::replay`]). Under [`ExecMode::Parallel`] each
+//! worker runs a contiguous chunk of blocks on a private copy of the
+//! global buffers, and the merge copies each worker's written global
+//! addresses (a `WriteSet`) in worker order. The last worker to write an
+//! address ran the last block to write it, so results and counters are
+//! bit-identical to [`ExecMode::Sequential`] whenever no CTA reads
 //! another CTA's writes (the independence every Graphene grid
 //! decomposition expresses, and the golden equivalence test checks for
 //! every paper kernel).
@@ -25,6 +26,7 @@ use graphene_ir::tensor::TensorId;
 use graphene_ir::MemSpace;
 use graphene_sym::SlotEnv;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// How CTAs (thread blocks) are scheduled — by the plan engine, the
 /// trace replay and the graph executor alike. Which engine runs is a
@@ -44,12 +46,144 @@ pub enum ExecMode {
     Workers(usize),
 }
 
-/// One logged global-memory write (parallel mode).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WriteRec {
-    buf: u32,
-    addr: i64,
-    val: f32,
+impl ExecMode {
+    /// Worker threads for a grid of `grid` blocks: never more than the
+    /// blocks, and at least one.
+    pub(crate) fn workers(self, grid: usize) -> usize {
+        let want = match self {
+            ExecMode::Sequential => 1,
+            ExecMode::Parallel => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            ExecMode::Workers(n) => n,
+        };
+        want.clamp(1, grid.max(1))
+    }
+}
+
+/// The global addresses one worker wrote: a bitset per global buffer.
+#[derive(Debug, Default)]
+pub(crate) struct WriteSet(Vec<Vec<u64>>);
+
+impl WriteSet {
+    /// An empty set over global buffers of the given lengths.
+    pub(crate) fn new(lens: impl IntoIterator<Item = usize>) -> Self {
+        WriteSet(lens.into_iter().map(|len| vec![0; len.div_ceil(64)]).collect())
+    }
+
+    #[inline]
+    pub(crate) fn mark(&mut self, buf: usize, addr: usize) {
+        self.0[buf][addr / 64] |= 1 << (addr % 64);
+    }
+
+    /// Copies every marked address from `src` into `dst`.
+    fn copy(&self, src: &[Vec<f32>], dst: &mut [Vec<f32>]) {
+        for ((bits, s), d) in self.0.iter().zip(src).zip(dst) {
+            for (w, &word) in bits.iter().enumerate() {
+                let base = w * 64;
+                if word == u64::MAX {
+                    d[base..base + 64].copy_from_slice(&s[base..base + 64]);
+                    continue;
+                }
+                let mut m = word;
+                while m != 0 {
+                    let a = base + m.trailing_zeros() as usize;
+                    d[a] = s[a];
+                    m &= m - 1;
+                }
+            }
+        }
+    }
+}
+
+/// One worker of [`run_grid`]: runs blocks on private buffers and
+/// reports the global addresses they wrote.
+pub(crate) trait BlockRunner: Send {
+    /// Executes block `b`.
+    fn run_block(&mut self, b: usize) -> Result<(), ExecError>;
+    /// Takes this worker's global buffers, in params order.
+    fn take_globals(&mut self) -> Vec<Vec<f32>>;
+    /// The global addresses written by `blocks`, the blocks this worker
+    /// ran. It must be exact: an address the worker never wrote would
+    /// copy its starting value over an earlier worker's write.
+    fn written(&mut self, blocks: Range<usize>) -> WriteSet;
+}
+
+/// Validates `inputs` against the kernel parameters `params` and
+/// produces the initial global buffers, in params order. Missing
+/// parameters start zero-filled.
+pub(crate) fn bind_inputs(
+    params: &[(TensorId, String, usize)],
+    inputs: &HashMap<TensorId, Vec<f32>>,
+) -> Result<Vec<Vec<f32>>, ExecError> {
+    params
+        .iter()
+        .map(|(p, name, want)| match inputs.get(p) {
+            Some(b) if b.len() != *want => Err(ExecError::BadInput(format!(
+                "param %{} expects {} scalars, got {}",
+                name,
+                want,
+                b.len()
+            ))),
+            Some(b) => Ok(b.clone()),
+            None => Ok(vec![0.0; *want]),
+        })
+        .collect()
+}
+
+/// Runs blocks `0..grid` under `mode`, each worker built by `new` from
+/// its own copy of the initial globals `init`. Returns the merged
+/// globals and the workers, in block order (for their counters).
+///
+/// Each worker runs one contiguous chunk of blocks, so merging the
+/// workers' write sets in worker order replays every address's last
+/// write in block order. When several blocks fail, the failure of the
+/// lowest block id is returned, as in sequential execution.
+pub(crate) fn run_grid<R: BlockRunner>(
+    grid: usize,
+    mode: ExecMode,
+    init: Vec<Vec<f32>>,
+    new: impl Fn(Vec<Vec<f32>>) -> R + Sync,
+) -> Result<(Vec<Vec<f32>>, Vec<R>), ExecError> {
+    let workers = mode.workers(grid);
+    if workers == 1 {
+        let mut r = new(init);
+        for b in 0..grid {
+            r.run_block(b)?;
+        }
+        return Ok((r.take_globals(), vec![r]));
+    }
+    let chunk = grid.div_ceil(workers);
+    let chunks: Vec<Range<usize>> =
+        (0..grid).step_by(chunk).map(|b| b..(b + chunk).min(grid)).collect();
+    let (init_ref, new) = (&init, &new);
+    let done: Vec<Result<R, ExecError>> = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .iter()
+            .cloned()
+            .map(|blocks| {
+                s.spawn(move || {
+                    let mut r = new(init_ref.clone());
+                    for b in blocks {
+                        r.run_block(b)?;
+                    }
+                    Ok(r)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    let mut globals = init;
+    let mut runners = Vec::with_capacity(done.len());
+    for (r, blocks) in done.into_iter().zip(chunks) {
+        // Chunks ascend, so the first failing worker holds the lowest
+        // failing block.
+        let mut r = r?;
+        r.written(blocks).copy(&r.take_globals(), &mut globals);
+        runners.push(r);
+    }
+    Ok((globals, runners))
 }
 
 /// Reusable per-group address scratch: all lanes' addresses for every
@@ -84,8 +218,8 @@ pub(crate) struct CtaRunner<'p> {
     tally: BankTally,
     guards: Vec<&'p CGuard>,
     lane_buf: Vec<i64>,
-    /// When `Some`, global writes are logged for the ordered merge.
-    pub(crate) log: Option<Vec<WriteRec>>,
+    /// Global addresses written so far, for the parallel merge.
+    written: WriteSet,
     /// When `Some`, executed allocs and groups are captured into a
     /// trace ([`crate::trace::record_trace`]).
     pub(crate) rec: Option<crate::trace::Recorder>,
@@ -116,19 +250,9 @@ impl<'p> CtaRunner<'p> {
             tally: BankTally::new(),
             guards: Vec::new(),
             lane_buf: Vec::new(),
-            log: None,
+            written: WriteSet::new(plan.globals.iter().map(|&(_, _, len)| len)),
             rec: None,
         }
-    }
-
-    pub(crate) fn into_globals(self) -> Vec<Vec<f32>> {
-        self.global
-    }
-
-    /// Executes block `b`.
-    pub(crate) fn run_block(&mut self, b: i64) -> Result<(), ExecError> {
-        self.env.set(self.plan.block_slot, b);
-        self.exec_stmts(&self.plan.body)
     }
 
     fn exec_stmts(&mut self, stmts: &'p [CStmt]) -> Result<(), ExecError> {
@@ -295,9 +419,7 @@ impl<'p> CtaRunner<'p> {
         match buf.mem {
             MemSpace::Global => {
                 self.global[buf.idx][addr as usize] = v;
-                if let Some(log) = &mut self.log {
-                    log.push(WriteRec { buf: buf.idx as u32, addr, val: v });
-                }
+                self.written.mark(buf.idx, addr as usize);
             }
             MemSpace::Shared => self.shared[buf.idx][addr as usize] = v,
             MemSpace::Register => {
@@ -583,6 +705,22 @@ impl<'p> CtaRunner<'p> {
     }
 }
 
+impl BlockRunner for CtaRunner<'_> {
+    fn run_block(&mut self, b: usize) -> Result<(), ExecError> {
+        self.env.set(self.plan.block_slot, b as i64);
+        self.exec_stmts(&self.plan.body)
+    }
+
+    fn take_globals(&mut self) -> Vec<Vec<f32>> {
+        std::mem::take(&mut self.global)
+    }
+
+    /// Marked live in `write`, so `blocks` are exactly the ones run.
+    fn written(&mut self, _blocks: Range<usize>) -> WriteSet {
+        std::mem::take(&mut self.written)
+    }
+}
+
 /// Emits every lane's addresses for each operand in `ops` into `addrs`
 /// (appending), recording one `(start, addrs-per-lane)` segment per
 /// operand in `segs`.
@@ -607,27 +745,6 @@ fn emit_ops(
     Ok(())
 }
 
-/// Validates `inputs` against the plan's parameters and produces the
-/// initial global buffers, in params order.
-fn initial_globals(
-    plan: &KernelPlan,
-    inputs: &HashMap<TensorId, Vec<f32>>,
-) -> Result<Vec<Vec<f32>>, ExecError> {
-    plan.globals
-        .iter()
-        .map(|(p, name, want)| match inputs.get(p) {
-            Some(b) if b.len() != *want => Err(ExecError::BadInput(format!(
-                "param %{} expects {} scalars, got {}",
-                name,
-                want,
-                b.len()
-            ))),
-            Some(b) => Ok(b.clone()),
-            None => Ok(vec![0.0; *want]),
-        })
-        .collect()
-}
-
 /// Executes a compiled plan.
 ///
 /// # Errors
@@ -641,87 +758,16 @@ pub fn execute_plan(
     bindings: &HashMap<String, i64>,
     mode: ExecMode,
 ) -> Result<ExecOutcome, ExecError> {
-    let init = initial_globals(plan, inputs)?;
-    let workers = match mode {
-        ExecMode::Sequential => 1,
-        ExecMode::Parallel => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(plan.grid.max(1) as usize),
-        ExecMode::Workers(n) => n.max(1).min(plan.grid.max(1) as usize),
-    };
-    let (globals, mut counters) = if workers <= 1 || plan.grid <= 1 {
-        run_sequential(plan, init, bindings)?
-    } else {
-        run_parallel(plan, init, bindings, workers)?
-    };
+    let init = bind_inputs(&plan.globals, inputs)?;
+    let (globals, runners) =
+        run_grid(plan.grid.max(0) as usize, mode, init, |g| CtaRunner::new(plan, g, bindings))?;
+    // Fold worker counters in worker order.
+    let mut counters = Counters::default();
+    for r in &runners {
+        counters.merge(&r.counters);
+    }
     counters.unique_global_read_bytes = plan.unique_read;
     counters.unique_global_write_bytes = plan.unique_written;
     let globals = plan.globals.iter().map(|(p, _, _)| *p).zip(globals).collect::<HashMap<_, _>>();
     Ok(ExecOutcome { globals, counters })
-}
-
-fn run_sequential(
-    plan: &KernelPlan,
-    init: Vec<Vec<f32>>,
-    bindings: &HashMap<String, i64>,
-) -> Result<(Vec<Vec<f32>>, Counters), ExecError> {
-    let mut runner = CtaRunner::new(plan, init, bindings);
-    for b in 0..plan.grid {
-        runner.run_block(b)?;
-    }
-    let counters = runner.counters;
-    Ok((runner.into_globals(), counters))
-}
-
-fn run_parallel(
-    plan: &KernelPlan,
-    init: Vec<Vec<f32>>,
-    bindings: &HashMap<String, i64>,
-    workers: usize,
-) -> Result<(Vec<Vec<f32>>, Counters), ExecError> {
-    let grid = plan.grid as usize;
-    let chunk = grid.div_ceil(workers);
-    let mut logs: Vec<Vec<WriteRec>> = vec![Vec::new(); grid];
-    let mut worker_counters: Vec<Counters> = vec![Counters::default(); workers];
-    let mut worker_errs: Vec<Option<(i64, ExecError)>> = vec![None; workers];
-    let init_ref = &init;
-    std::thread::scope(|s| {
-        for ((w, log_chunk), (ctr, err)) in (0..workers)
-            .zip(logs.chunks_mut(chunk))
-            .zip(worker_counters.iter_mut().zip(worker_errs.iter_mut()))
-        {
-            s.spawn(move || {
-                let mut runner = CtaRunner::new(plan, init_ref.clone(), bindings);
-                for (i, slot) in log_chunk.iter_mut().enumerate() {
-                    let b = (w * chunk + i) as i64;
-                    runner.log = Some(Vec::new());
-                    match runner.run_block(b) {
-                        Ok(()) => *slot = runner.log.take().expect("log set above"),
-                        Err(e) => {
-                            *err = Some((b, e));
-                            break;
-                        }
-                    }
-                }
-                *ctr = runner.counters;
-            });
-        }
-    });
-    if let Some((_, e)) = worker_errs.into_iter().flatten().min_by_key(|&(b, _)| b) {
-        return Err(e);
-    }
-    // Deterministic merge: apply every block's writes in block order,
-    // and fold worker counters in worker order.
-    let mut globals = init;
-    for log in &logs {
-        for rec in log {
-            globals[rec.buf as usize][rec.addr as usize] = rec.val;
-        }
-    }
-    let mut counters = Counters::default();
-    for c in &worker_counters {
-        counters.merge(c);
-    }
-    Ok((globals, counters))
 }

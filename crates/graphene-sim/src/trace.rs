@@ -9,8 +9,11 @@
 //! **once** per (kernel, problem, arch) through the instrumented
 //! compiled executor and captures everything that cannot change across
 //! runs — resolved branches and loops, precomputed operand address
-//! segments, op kind and flat buffer operands per step — into a
-//! [`Trace`]. The replay executor ([`crate::replay`]) then re-runs the
+//! segments, op kind and flat buffer operands per step — into an
+//! [`OptTrace`] of `OTp` steps whose operands are all gather spans
+//! into one `u32` address arena. The trace optimizer
+//! ([`crate::trace_opt`]) rewrites those spans into affine descriptors,
+//! and the replay executor ([`crate::replay`]) re-runs the
 //! straight-line program against fresh input buffers with no `CSpec`
 //! dispatch, no symbolic environment, and no per-group address
 //! emission.
@@ -23,157 +26,26 @@
 //! valuations; only the data differs, and replay recomputes the data.
 //!
 //! Register addresses are flattened to `thread * len + addr` at record
-//! time, so a replay touches nothing but flat `Vec<f32>` buffers
-//! indexed by a shared `u32` address arena.
+//! time, so a replay touches nothing but flat `Vec<f32>` buffers.
 
-use crate::counters::Counters;
 use crate::exec::ExecError;
 use crate::plan::{BufRef, CSpec, KernelPlan};
-use crate::run::{AddrScratch, CtaRunner};
-use crate::trace_opt::{record_opt_trace, OptTrace};
+use crate::run::{AddrScratch, BlockRunner, CtaRunner};
+use crate::trace_opt::{record_opt_trace, OTp, OptStats, OptTrace, Span};
 use graphene_ir::atomic::AtomicSemantics;
-use graphene_ir::ops::{BinaryOp, ReduceOp, UnaryOp};
-use graphene_ir::tensor::TensorId;
 use graphene_ir::Arch;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One recorded step of a straight-line trace.
-///
-/// Buffer operands are indices into the trace's unified buffer table
-/// (globals, then shared, then flattened register files); fields named
-/// `sa`/`da`/`aa`/`ba`/`ca` are start offsets into the shared address
-/// arena ([`Trace::addrs` — crate-private]).
-#[derive(Debug, Clone)]
-pub(crate) enum TOp {
-    /// Zero-fill buffer `buf` (a recorded `Alloc`).
-    Fill { buf: u32 },
-    /// `dst[da[i]] = src[sa[i]]` for `i in 0..n`.
-    Copy { src: u32, dst: u32, sa: u32, da: u32, n: u32 },
-    /// `dst[da[i]] = op(src[sa[i]])`.
-    Unary { op: UnaryOp, src: u32, dst: u32, sa: u32, da: u32, n: u32 },
-    /// `dst[da[i]] = op(a[aa[i]], b[ba[i]])`.
-    Binary { op: BinaryOp, a: u32, b: u32, dst: u32, aa: u32, ba: u32, da: u32, n: u32 },
-    /// `c[ca[i]] += a[aa[i]] * b[ba[i]]`.
-    Fma { a: u32, b: u32, c: u32, aa: u32, ba: u32, ca: u32, n: u32 },
-    /// `dst[da[i]] = value`.
-    Init { value: f32, dst: u32, da: u32, n: u32 },
-    /// `groups` reductions of `per` elements each:
-    /// `dst[da[g]] = fold(op, src[sa[g*per..(g+1)*per]])`.
-    Reduce { op: ReduceOp, src: u32, dst: u32, sa: u32, da: u32, groups: u32, per: u32 },
-    /// Collective `ldmatrix`: per-lane address strides `sper`/`dper`.
-    LdMatrix {
-        num: u8,
-        trans: bool,
-        src: u32,
-        dst: u32,
-        sa: u32,
-        sper: u32,
-        da: u32,
-        dper: u32,
-        lanes: u32,
-    },
-    /// Collective `mma.m16n8k16` over `lanes` lanes.
-    Mma16816 {
-        a: u32,
-        b: u32,
-        c: u32,
-        aa: u32,
-        aper: u32,
-        ba: u32,
-        bper: u32,
-        ca: u32,
-        cper: u32,
-        lanes: u32,
-    },
-    /// Collective `mma.m8n8k4` over `lanes` lanes.
-    Mma884 {
-        a: u32,
-        b: u32,
-        c: u32,
-        aa: u32,
-        aper: u32,
-        ba: u32,
-        bper: u32,
-        ca: u32,
-        cper: u32,
-        lanes: u32,
-    },
-    /// Butterfly shuffle: lane `l` reads `src[sa[l]]`, lane `l` writes
-    /// the value read by lane `l ^ mask` to `dst[da[l]]`.
-    Shfl { mask: u32, src: u32, dst: u32, sa: u32, da: u32, lanes: u32 },
-}
-
-/// A recorded straight-line execution of one (kernel, problem, arch):
-/// every branch resolved, every loop unrolled, every operand address
-/// precomputed. Produced by [`record_trace`] and lowered for execution
-/// by [`crate::trace_opt::optimize_trace`].
-#[derive(Debug)]
-pub struct Trace {
-    pub(crate) steps: Vec<TOp>,
-    pub(crate) addrs: Vec<u32>,
-    /// Per-block `(start, end)` step ranges, in block order.
-    pub(crate) blocks: Vec<(u32, u32)>,
-    /// Unified buffer table lengths: globals, then shared, then
-    /// register files (already `len × block_threads` flat).
-    pub(crate) buf_lens: Vec<usize>,
-    pub(crate) n_globals: usize,
-    /// Kernel params `(id, name, scalar length)`: replay input
-    /// validation and outcome keying.
-    pub(crate) params: Vec<(TensorId, String, usize)>,
-    /// Counters captured from the recording run. Counters are
-    /// input-independent, so every replay of this trace reports them
-    /// unchanged.
-    pub(crate) counters: Counters,
-}
-
-impl Trace {
-    /// Number of recorded steps across all blocks.
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Number of precomputed scalar addresses in the arena.
-    pub fn num_addrs(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Number of thread blocks in the recorded grid.
-    pub fn grid_size(&self) -> i64 {
-        self.blocks.len() as i64
-    }
-
-    /// The profile counters every replay of this trace reports.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Resident payload bytes: step list, address arena, block table
-    /// and buffer metadata (length-based, so the figure is
-    /// deterministic — the optimizer's before/after comparison).
-    pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.steps.len() * std::mem::size_of::<TOp>()
-            + self.addrs.len() * std::mem::size_of::<u32>()
-            + self.blocks.len() * std::mem::size_of::<(u32, u32)>()
-            + self.buf_lens.len() * std::mem::size_of::<usize>()
-            + self
-                .params
-                .iter()
-                .map(|(_, name, _)| std::mem::size_of::<(TensorId, String, usize)>() + name.len())
-                .sum::<usize>()
-    }
-}
-
-/// Captures [`TOp`]s during one instrumented [`CtaRunner`] pass.
+/// Captures [`OTp`] steps during one instrumented [`CtaRunner`] pass.
 ///
 /// Installed on the runner by [`record_trace`]; the runner calls back
 /// after each `Alloc` and after each successfully executed group, so a
 /// failing execution never leaves a partial step in a published trace.
 #[derive(Debug, Default)]
 pub(crate) struct Recorder {
-    pub(crate) steps: Vec<TOp>,
+    pub(crate) steps: Vec<OTp>,
     pub(crate) addrs: Vec<u32>,
     n_globals: usize,
     n_shared: usize,
@@ -201,7 +73,7 @@ impl Recorder {
 
     /// Appends `k` addresses per lane of one operand segment to the
     /// arena, flattening register addresses to `thread * len + addr`.
-    /// Returns the arena start offset.
+    /// Returns the gather span over the appended run.
     fn push_seg(
         &mut self,
         buf: BufRef,
@@ -209,7 +81,7 @@ impl Recorder {
         scratch: &AddrScratch,
         seg: (usize, usize),
         k: usize,
-    ) -> u32 {
+    ) -> Span {
         let start = u32::try_from(self.addrs.len()).expect("trace address arena exceeds u32 range");
         let (s0, n) = seg;
         if buf.mem == graphene_ir::MemSpace::Register {
@@ -225,13 +97,13 @@ impl Recorder {
                     .extend(scratch.addrs[s0 + li * n..s0 + li * n + k].iter().map(|&a| a as u32));
             }
         }
-        start
+        Span::Gather { start }
     }
 
     /// Records a zero-fill of an allocated buffer.
     pub(crate) fn record_alloc(&mut self, buf: BufRef) {
         let buf = self.buf_id(buf);
-        self.steps.push(TOp::Fill { buf });
+        self.steps.push(OTp::Fill { buf });
     }
 
     /// Records one successfully executed warp/collective group.
@@ -252,8 +124,8 @@ impl Recorder {
                 let (src, dst) = (self.buf_id(cs.ins[0].buf), self.buf_id(cs.outs[0].buf));
                 let n = nl * k as u32;
                 match cs.semantics {
-                    AtomicSemantics::UnaryPerThread(op) => TOp::Unary { op, src, dst, sa, da, n },
-                    _ => TOp::Copy { src, dst, sa, da, n },
+                    AtomicSemantics::UnaryPerThread(op) => OTp::Unary { op, src, dst, sa, da, n },
+                    _ => OTp::Copy { src, dst, sa, da, n },
                 }
             }
             AtomicSemantics::BinaryPerThread(op) => {
@@ -261,7 +133,7 @@ impl Recorder {
                 let aa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], k);
                 let ba = self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], k);
                 let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k);
-                TOp::Binary {
+                OTp::Binary {
                     op,
                     a: self.buf_id(cs.ins[0].buf),
                     b: self.buf_id(cs.ins[1].buf),
@@ -277,7 +149,7 @@ impl Recorder {
                 let aa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], k);
                 let ba = self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], k);
                 let ca = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k);
-                TOp::Fma {
+                OTp::Fma {
                     a: self.buf_id(cs.ins[0].buf),
                     b: self.buf_id(cs.ins[1].buf),
                     c: self.buf_id(cs.outs[0].buf),
@@ -290,7 +162,7 @@ impl Recorder {
             AtomicSemantics::InitPerThread => {
                 let k = sc.outs[0].1;
                 let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k);
-                TOp::Init {
+                OTp::Init {
                     value: cs.init_value,
                     dst: self.buf_id(cs.outs[0].buf),
                     da,
@@ -301,7 +173,7 @@ impl Recorder {
                 let per = sc.ins[0].1;
                 let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], per);
                 let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], 1);
-                TOp::Reduce {
+                OTp::Reduce {
                     op,
                     src: self.buf_id(cs.ins[0].buf),
                     dst: self.buf_id(cs.outs[0].buf),
@@ -315,7 +187,7 @@ impl Recorder {
                 let (sper, dper) = (sc.ins[0].1, sc.outs[0].1);
                 let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], sper);
                 let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], dper);
-                TOp::LdMatrix {
+                OTp::LdMatrix {
                     num,
                     trans,
                     src: self.buf_id(cs.ins[0].buf),
@@ -339,15 +211,15 @@ impl Recorder {
                 );
                 let (aper, bper, cper) = (aper as u32, bper as u32, cper as u32);
                 if cs.semantics == AtomicSemantics::MmaAmpere16816 {
-                    TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes: nl }
+                    OTp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes: nl }
                 } else {
-                    TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes: nl }
+                    OTp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes: nl }
                 }
             }
             AtomicSemantics::ShflBfly => {
                 let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], 1);
                 let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], 1);
-                TOp::Shfl {
+                OTp::Shfl {
                     mask: cs.shfl_mask,
                     src: self.buf_id(cs.ins[0].buf),
                     dst: self.buf_id(cs.outs[0].buf),
@@ -361,7 +233,8 @@ impl Recorder {
     }
 }
 
-/// Records `plan` once into a [`Trace`].
+/// Records `plan` once into a raw [`OptTrace`]: every operand a gather
+/// span, stats reporting no optimization.
 ///
 /// The recording run executes the full grid sequentially over
 /// zero-filled inputs through the instrumented compiled executor. This
@@ -375,19 +248,20 @@ impl Recorder {
 pub fn record_trace(
     plan: &KernelPlan,
     bindings: &HashMap<String, i64>,
-) -> Result<Trace, ExecError> {
+) -> Result<OptTrace, ExecError> {
     let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
     let mut runner = CtaRunner::new(plan, init, bindings);
     runner.rec = Some(Recorder::new(plan));
-    let mut blocks = Vec::with_capacity(plan.grid.max(0) as usize);
-    for b in 0..plan.grid {
-        let start = runner.rec.as_ref().expect("recorder installed").steps.len();
+    let grid = plan.grid.max(0) as usize;
+    let mut blocks = Vec::with_capacity(grid);
+    let steps = |r: &CtaRunner| {
+        let n = r.rec.as_ref().expect("recorder installed").steps.len();
+        u32::try_from(n).expect("trace exceeds u32 steps")
+    };
+    for b in 0..grid {
+        let start = steps(&runner);
         runner.run_block(b)?;
-        let end = runner.rec.as_ref().expect("recorder installed").steps.len();
-        blocks.push((
-            u32::try_from(start).expect("trace exceeds u32 steps"),
-            u32::try_from(end).expect("trace exceeds u32 steps"),
-        ));
+        blocks.push((start, steps(&runner)));
     }
     let mut counters = runner.counters;
     counters.unique_global_read_bytes = plan.unique_read;
@@ -396,15 +270,17 @@ pub fn record_trace(
     let mut buf_lens: Vec<usize> = plan.globals.iter().map(|&(_, _, l)| l).collect();
     buf_lens.extend(plan.shared.iter().map(|&(_, l)| l));
     buf_lens.extend(plan.regs.iter().map(|&(_, l)| l * plan.block_threads as usize));
-    Ok(Trace {
+    Ok(OptTrace {
         steps: rec.steps,
-        addrs: rec.addrs,
+        gather: rec.addrs,
         blocks,
         buf_lens,
         n_globals: plan.globals.len(),
         params: plan.globals.clone(),
         counters,
-    })
+        stats: OptStats::default(),
+    }
+    .seal_raw())
 }
 
 /// Cache key: one trace per (kernel, problem, arch).

@@ -1,32 +1,35 @@
-//! Trace optimization: lower a recorded [`Trace`] into an [`OptTrace`]
-//! whose address arrays are compact affine descriptors and whose step
-//! list has been peephole-cleaned.
+//! The trace step IR (`OTp` over `Span` operands, held in an
+//! [`OptTrace`]) and the trace optimizer over it.
 //!
-//! A recorded trace addresses every operand element through the shared
-//! `u32` address arena, even though most recorded
-//! address runs in the paper's kernels are *affine* — contiguous or
+//! The recorder ([`crate::trace::record_trace`]) emits every operand as
+//! a `Span::Gather` run of its `u32` address arena, even though most
+//! recorded address runs in the paper's kernels are *affine* — contiguous or
 //! constant-stride, often with a regular per-lane (2D) structure. That
 //! is not an accident: under the F₂/linear-layout view of addresses,
 //! every non-swizzled operand of these kernels is a linear function of
 //! `(blockIdx, threadIdx, loop vars)`, so its recorded address slice is
-//! an arithmetic progression (or a lane-major grid of them). This pass
-//! runs **once at record time** and:
+//! an arithmetic progression (or a lane-major grid of them).
+//! [`optimize_trace`] runs **once at record time** and:
 //!
-//! 1. **Classifies** each operand slice by scanning the arena:
+//! 1. **Classifies** each gather span by scanning its arena run:
 //!    [`Span::Affine`] `(base, stride)` for 1D progressions,
 //!    [`Span::Lanes`] `(base, lane, stride, per)` for lane-major 2D
 //!    grids (register files flattened to `thread*len+addr`, strided
 //!    global loads, mma fragments), and [`Span::Gather`] for the
-//!    residue (e.g. XOR-swizzled shared memory). Classified slices are
+//!    residue (e.g. XOR-swizzled shared memory). Classified runs are
 //!    dropped from the arena, shrinking the resident trace — and
-//!    therefore the `TraceCache`/`GraphTraceCache` footprint.
+//!    therefore the `TraceCache`/`GraphTraceCache` footprint. Full-warp
+//!    `ldmatrix` and MMA steps are first composed with their fragment
+//!    permutations into a flat copy and a matrix-order `OTp::MmaDense`.
 //! 2. **Fuses** adjacent same-shape steps whose descriptors chain
 //!    (`base₂ = base₁ + n₁·stride`), within a block only.
 //! 3. **Eliminates dead fills**: a recorded `Alloc` zero-fill is
 //!    dropped when the first subsequent touch of that buffer inside the
 //!    same block is a write that fully overwrites it.
 //!
-//! The optimized replay ([`crate::replay::replay_opt`]) then runs
+//! One operand visitor, `OTp::spans_mut`, serves classification, the
+//! dead-fill query and the parallel replay's write set. The replay
+//! ([`crate::replay::replay_opt`]) then runs
 //! contiguous copies as `copy_from_slice`, contiguous element-wise ops
 //! as tight auto-vectorizable slice loops, strided/lane spans as
 //! stepped loops with no arena traffic, and residual gathers through
@@ -36,7 +39,7 @@
 use crate::counters::Counters;
 use crate::exec::ExecError;
 use crate::plan::KernelPlan;
-use crate::trace::{record_trace, TOp, Trace};
+use crate::trace::record_trace;
 use graphene_ir::ops::{BinaryOp, ReduceOp, UnaryOp};
 use graphene_ir::tensor::TensorId;
 use std::collections::HashMap;
@@ -51,8 +54,8 @@ pub(crate) enum Span {
     /// Lane-major 2D progression over `per`-element rows:
     /// `addr(i) = base + (i / per)·lane + (i % per)·stride`.
     Lanes { base: u32, lane: i32, stride: i32, per: u32 },
-    /// Residual irregular slice: `addr(i) = gather[start + i]` in the
-    /// [`OptTrace::gather`] arena.
+    /// Irregular slice: `addr(i) = gather[start + i]` in the
+    /// [`OptTrace::gather`] arena (every operand of a raw recording).
     Gather { start: u32 },
 }
 
@@ -102,62 +105,28 @@ pub(crate) enum LaneRef<'g> {
     Gat(&'g [u32]),
 }
 
-/// One optimized step: mirrors [`TOp`] with arena offsets replaced by
-/// classified [`Span`] descriptors.
+/// One trace step: an op kind over buffer-table indices (globals, then
+/// shared, then flattened register files), with one [`Span`] per
+/// operand; `sa(i)` below is the span's `i`-th address.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OTp {
-    Fill {
-        buf: u32,
-    },
-    Copy {
-        src: u32,
-        dst: u32,
-        sa: Span,
-        da: Span,
-        n: u32,
-    },
-    Unary {
-        op: UnaryOp,
-        src: u32,
-        dst: u32,
-        sa: Span,
-        da: Span,
-        n: u32,
-    },
-    Binary {
-        op: BinaryOp,
-        a: u32,
-        b: u32,
-        dst: u32,
-        aa: Span,
-        ba: Span,
-        da: Span,
-        n: u32,
-    },
-    Fma {
-        a: u32,
-        b: u32,
-        c: u32,
-        aa: Span,
-        ba: Span,
-        ca: Span,
-        n: u32,
-    },
-    Init {
-        value: f32,
-        dst: u32,
-        da: Span,
-        n: u32,
-    },
-    Reduce {
-        op: ReduceOp,
-        src: u32,
-        dst: u32,
-        sa: Span,
-        da: Span,
-        groups: u32,
-        per: u32,
-    },
+    /// Zero-fill buffer `buf` (a recorded `Alloc`).
+    Fill { buf: u32 },
+    /// `dst[da(i)] = src[sa(i)]` for `i in 0..n`.
+    Copy { src: u32, dst: u32, sa: Span, da: Span, n: u32 },
+    /// `dst[da(i)] = op(src[sa(i)])`.
+    Unary { op: UnaryOp, src: u32, dst: u32, sa: Span, da: Span, n: u32 },
+    /// `dst[da(i)] = op(a[aa(i)], b[ba(i)])`.
+    Binary { op: BinaryOp, a: u32, b: u32, dst: u32, aa: Span, ba: Span, da: Span, n: u32 },
+    /// `c[ca(i)] = a[aa(i)] * b[ba(i)] + c[ca(i)]`.
+    Fma { a: u32, b: u32, c: u32, aa: Span, ba: Span, ca: Span, n: u32 },
+    /// `dst[da(i)] = value`.
+    Init { value: f32, dst: u32, da: Span, n: u32 },
+    /// `groups` reductions of `per` elements each:
+    /// `dst[da(g)] = fold(op, src[sa(g*per..(g+1)*per)])`.
+    Reduce { op: ReduceOp, src: u32, dst: u32, sa: Span, da: Span, groups: u32, per: u32 },
+    /// Collective `ldmatrix` over `lanes` lanes, `sper`/`dper`
+    /// addresses per lane.
     LdMatrix {
         num: u8,
         trans: bool,
@@ -169,6 +138,7 @@ pub(crate) enum OTp {
         dper: u32,
         lanes: u32,
     },
+    /// Collective `mma.m16n8k16` over `lanes` lanes.
     Mma16816 {
         a: u32,
         b: u32,
@@ -181,6 +151,7 @@ pub(crate) enum OTp {
         cper: u32,
         lanes: u32,
     },
+    /// Collective `mma.m8n8k4` over `lanes` lanes.
     Mma884 {
         a: u32,
         b: u32,
@@ -199,23 +170,77 @@ pub(crate) enum OTp {
     /// for the `C[m][n]` accumulator. Replay streams whole matrices
     /// with no per-element lane/fragment arithmetic. `m16` selects
     /// m16n8k16 (true) vs m8n8k4 (false).
-    MmaDense {
-        m16: bool,
-        a: u32,
-        b: u32,
-        c: u32,
-        am: Span,
-        bm: Span,
-        cm: Span,
-    },
-    Shfl {
-        mask: u32,
-        src: u32,
-        dst: u32,
-        sa: Span,
-        da: Span,
-        lanes: u32,
-    },
+    MmaDense { m16: bool, a: u32, b: u32, c: u32, am: Span, bm: Span, cm: Span },
+    /// Butterfly shuffle: lane `l` reads `src[sa(l)]`, lane `l` writes
+    /// the value read by lane `l ^ mask` to `dst[da(l)]`.
+    Shfl { mask: u32, src: u32, dst: u32, sa: Span, da: Span, lanes: u32 },
+}
+
+/// How a step uses one operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    Read,
+    Write,
+    /// Read, then written (an accumulator).
+    Update,
+}
+
+impl OTp {
+    /// Visits every addressed operand as `(buffer, span, lanes, per,
+    /// access)`, inputs before outputs. The span covers `lanes × per`
+    /// addresses: lane-structured rows when `lanes > 1`, one flat run
+    /// when `lanes == 1`.
+    pub(crate) fn spans_mut(&mut self, mut f: impl FnMut(u32, &mut Span, u32, u32, Access)) {
+        use Access::{Read, Update, Write};
+        match self {
+            OTp::Fill { .. } => {}
+            OTp::Copy { src, dst, sa, da, n } | OTp::Unary { src, dst, sa, da, n, .. } => {
+                f(*src, sa, 1, *n, Read);
+                f(*dst, da, 1, *n, Write);
+            }
+            OTp::Binary { a, b, dst, aa, ba, da, n, .. } => {
+                f(*a, aa, 1, *n, Read);
+                f(*b, ba, 1, *n, Read);
+                f(*dst, da, 1, *n, Write);
+            }
+            OTp::Fma { a, b, c, aa, ba, ca, n } => {
+                f(*a, aa, 1, *n, Read);
+                f(*b, ba, 1, *n, Read);
+                f(*c, ca, 1, *n, Update);
+            }
+            OTp::Init { dst, da, n, .. } => f(*dst, da, 1, *n, Write),
+            OTp::Reduce { src, dst, sa, da, groups, per, .. } => {
+                f(*src, sa, *groups, *per, Read);
+                f(*dst, da, 1, *groups, Write);
+            }
+            OTp::LdMatrix { src, dst, sa, sper, da, dper, lanes, .. } => {
+                f(*src, sa, *lanes, *sper, Read);
+                f(*dst, da, *lanes, *dper, Write);
+            }
+            OTp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
+            | OTp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
+                f(*a, aa, *lanes, *aper, Read);
+                f(*b, ba, *lanes, *bper, Read);
+                f(*c, ca, *lanes, *cper, Update);
+            }
+            OTp::MmaDense { m16, a, b, c, am, bm, cm } => {
+                let (m, n, k) = if *m16 { (16, 8, 16) } else { (8, 8, 4) };
+                f(*a, am, 1, m * k, Read);
+                f(*b, bm, 1, k * n, Read);
+                f(*c, cm, 1, m * n, Update);
+            }
+            OTp::Shfl { src, dst, sa, da, lanes, .. } => {
+                f(*src, sa, 1, *lanes, Read);
+                f(*dst, da, 1, *lanes, Write);
+            }
+        }
+    }
+
+    /// Read-only [`spans_mut`](Self::spans_mut).
+    pub(crate) fn spans(&self, mut f: impl FnMut(u32, Span, u32, u32, Access)) {
+        let mut step = *self;
+        step.spans_mut(|buf, span, lanes, per, access| f(buf, *span, lanes, per, access));
+    }
 }
 
 /// What the optimizer did to one trace — surfaced in CLI replay output,
@@ -263,31 +288,41 @@ impl OptStats {
     }
 }
 
-/// An optimized straight-line trace: [`Trace`] after classification,
-/// fusion and dead-fill elimination. Produced by [`optimize_trace`],
-/// executed by [`crate::replay::replay_opt`]; this is what the
+/// A straight-line trace: every branch resolved, every loop unrolled,
+/// every operand address precomputed. [`record_trace`] produces the
+/// raw form (all operands gather spans, stats reporting no
+/// optimization); [`optimize_trace`] the classified, fused form the
 /// [`crate::trace::TraceCache`] and graph-trace cache keep resident.
+/// Either replays through [`crate::replay::replay_opt`].
 #[derive(Debug)]
 pub struct OptTrace {
     pub(crate) steps: Vec<OTp>,
-    /// Residual irregular addresses ([`Span::Gather`] targets).
+    /// Irregular addresses ([`Span::Gather`] targets).
     pub(crate) gather: Vec<u32>,
+    /// Per-block `(start, end)` step ranges, in block order.
     pub(crate) blocks: Vec<(u32, u32)>,
+    /// Unified buffer table lengths: globals, then shared, then
+    /// register files (already `len × block_threads` flat).
     pub(crate) buf_lens: Vec<usize>,
     pub(crate) n_globals: usize,
+    /// Kernel params `(id, name, scalar length)`: replay input
+    /// validation and outcome keying.
     pub(crate) params: Vec<(TensorId, String, usize)>,
+    /// Counters captured from the recording run. Counters are
+    /// input-independent, so every replay of this trace reports them
+    /// unchanged.
     pub(crate) counters: Counters,
-    stats: OptStats,
+    pub(crate) stats: OptStats,
 }
 
 impl OptTrace {
-    /// Number of optimized steps across all blocks.
+    /// Number of steps across all blocks.
     #[must_use]
     pub fn num_steps(&self) -> usize {
         self.steps.len()
     }
 
-    /// Number of residual gather addresses still held.
+    /// Number of gather addresses held.
     #[must_use]
     pub fn num_addrs(&self) -> usize {
         self.gather.len()
@@ -325,6 +360,34 @@ impl OptTrace {
                 .iter()
                 .map(|(_, name, _)| std::mem::size_of::<(TensorId, String, usize)>() + name.len())
                 .sum::<usize>()
+    }
+
+    /// Sets the `*_after` stats from the trace as it now stands.
+    fn seal(mut self) -> Self {
+        self.stats.steps_after = self.steps.len();
+        self.stats.gather_addrs = self.gather.len();
+        self.stats.bytes_after = self.resident_bytes();
+        self
+    }
+
+    /// Seals a freshly recorded trace: its `*_before` stats describe
+    /// itself.
+    pub(crate) fn seal_raw(self) -> Self {
+        let mut t = self.seal();
+        let st = &mut t.stats;
+        (st.steps_before, st.addrs_before, st.bytes_before) =
+            (st.steps_after, st.gather_addrs, st.bytes_after);
+        t
+    }
+}
+
+/// Classifies one address run of `lanes × per` addresses (flat when
+/// `lanes == 1`), falling back to the residual gather arena.
+fn classify(addrs: &[u32], lanes: usize, per: usize, gather: &mut Vec<u32>) -> Span {
+    if lanes > 1 {
+        classify_lanes(addrs, lanes, per, gather)
+    } else {
+        classify_flat(addrs, gather)
     }
 }
 
@@ -505,58 +568,21 @@ fn covers(span: Span, n: u32, len: usize) -> bool {
 }
 
 fn touch(step: &OTp, buf: u32, len: usize) -> Touch {
-    let write = |dst: u32, da: Span, n: u32, reads: &[u32]| {
-        if reads.contains(&buf) {
-            Touch::Other
-        } else if dst == buf {
-            if covers(da, n, len) {
-                Touch::FullOverwrite
-            } else {
-                Touch::Other
-            }
-        } else {
-            Touch::None
-        }
-    };
-    match *step {
-        OTp::Fill { buf: b } => {
-            if b == buf {
-                Touch::FullOverwrite
-            } else {
-                Touch::None
-            }
-        }
-        OTp::Copy { src, dst, da, n, .. } => write(dst, da, n, &[src]),
-        OTp::Unary { src, dst, da, n, .. } => write(dst, da, n, &[src]),
-        OTp::Binary { a, b, dst, da, n, .. } => write(dst, da, n, &[a, b]),
-        OTp::Init { dst, da, n, .. } => write(dst, da, n, &[]),
-        OTp::Reduce { src, dst, da, groups, .. } => write(dst, da, groups, &[src]),
-        // Fma reads its accumulator; collectives write lane fragments
-        // (never a provable full overwrite worth the analysis).
-        OTp::Fma { a, b, c, .. } => {
-            if a == buf || b == buf || c == buf {
-                Touch::Other
-            } else {
-                Touch::None
-            }
-        }
-        OTp::LdMatrix { src, dst, .. } | OTp::Shfl { src, dst, .. } => {
-            if src == buf || dst == buf {
-                Touch::Other
-            } else {
-                Touch::None
-            }
-        }
-        OTp::Mma16816 { a, b, c, .. }
-        | OTp::Mma884 { a, b, c, .. }
-        | OTp::MmaDense { a, b, c, .. } => {
-            if a == buf || b == buf || c == buf {
-                Touch::Other
-            } else {
-                Touch::None
-            }
-        }
+    if let OTp::Fill { buf: b } = *step {
+        return if b == buf { Touch::FullOverwrite } else { Touch::None };
     }
+    let mut t = Touch::None;
+    step.spans(|b, span, lanes, per, access| {
+        if b == buf {
+            t = match (&t, access) {
+                (Touch::None, Access::Write) if covers(span, lanes * per, len) => {
+                    Touch::FullOverwrite
+                }
+                _ => Touch::Other,
+            };
+        }
+    });
+    t
 }
 
 /// A `Fill` at `i` is dead iff the first later step in the block that
@@ -589,20 +615,23 @@ fn fuse_block(steps: &mut Vec<OTp>, fused: &mut usize) {
 }
 
 /// Composes a full-warp MMA's fragment shuffle into matrix-order
-/// address vectors and classifies them — `None` when the warp is
-/// partial (some matrix slot unwritten), which keeps the lane-order
-/// step in place. Slots are filled in the raw interpreter's lane-major
-/// load order, so a hypothetical duplicate slot resolves to the same
-/// last writer.
-fn mma_dense(
-    ar: &[u32],
-    m16: bool,
-    (a, b, c): (u32, u32, u32),
-    (aa, aper, ba, bper, ca, cper): (u32, u32, u32, u32, u32, u32),
-    lanes: u32,
-    g: &mut Vec<u32>,
-) -> Option<OTp> {
+/// address vectors and classifies them — `None` for other steps and
+/// when the warp is partial (some matrix slot unwritten), which keeps
+/// the lane-order step in place. Slots are filled in the raw
+/// interpreter's lane-major load order, so a hypothetical duplicate
+/// slot resolves to the same last writer.
+fn mma_dense(step: &OTp, old: &[u32], g: &mut Vec<u32>) -> Option<OTp> {
     use graphene_ir::atomic::fragments as frag;
+    let (m16, a, b, c, aa, aper, ba, bper, ca, cper, lanes) = match *step {
+        OTp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
+            (true, a, b, c, aa, aper, ba, bper, ca, cper, lanes)
+        }
+        OTp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
+            (false, a, b, c, aa, aper, ba, bper, ca, cper, lanes)
+        }
+        _ => return None,
+    };
+    let (aper, bper, cper) = (aper as usize, bper as usize, cper as usize);
     let (m, n, k, an, bn, cn) = if m16 { (16, 8, 16, 8, 4, 4) } else { (8, 8, 4, 4, 4, 8) };
     let mut av = vec![u32::MAX; m * k];
     let mut bv = vec![u32::MAX; k * n];
@@ -610,15 +639,15 @@ fn mma_dense(
     for li in 0..lanes as usize {
         for v in 0..an {
             let (mi, ki) = if m16 { frag::mma_16816_a(li, v) } else { frag::mma_884_a(li, v) };
-            av[mi * k + ki] = ar[aa as usize + li * aper as usize + v];
+            av[mi * k + ki] = aa.at(old, li * aper + v) as u32;
         }
         for v in 0..bn {
             let (ki, ni) = if m16 { frag::mma_16816_b(li, v) } else { frag::mma_884_b(li, v) };
-            bv[ki * n + ni] = ar[ba as usize + li * bper as usize + v];
+            bv[ki * n + ni] = ba.at(old, li * bper + v) as u32;
         }
         for v in 0..cn {
             let (mi, ni) = if m16 { frag::mma_16816_c(li, v) } else { frag::mma_884_c(li, v) };
-            cv[mi * n + ni] = ar[ca as usize + li * cper as usize + v];
+            cv[mi * n + ni] = ca.at(old, li * cper + v) as u32;
         }
     }
     if av.contains(&u32::MAX) || bv.contains(&u32::MAX) || cv.contains(&u32::MAX) {
@@ -635,198 +664,74 @@ fn mma_dense(
     })
 }
 
-/// Lowers a recorded [`Trace`] into an [`OptTrace`]: classify every
-/// operand slice, fuse adjacent chained steps, drop dead fills.
+/// The ldmatrix load/shuffle/store is a fixed permutation: store
+/// `(li, v)` takes matrix element `(p=v/2, c=v%2, row/col from trans)`,
+/// which was loaded from source lane `p*8+row` element `col`. Composing
+/// it turns the whole collective into one flat permuted copy the bulk
+/// arms (and the classifier) can chew on. `None` for other steps and
+/// for same-buffer steps, which keep the two-phase lane form: a fused
+/// copy would interleave loads with stores.
+fn ldmatrix_copy(step: &OTp, old: &[u32], g: &mut Vec<u32>) -> Option<OTp> {
+    let OTp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } = *step else {
+        return None;
+    };
+    if src == dst {
+        return None;
+    }
+    let n = lanes as usize * 2 * num as usize;
+    let mut sv = Vec::with_capacity(n);
+    let mut dv = Vec::with_capacity(n);
+    for li in 0..lanes as usize {
+        for v in 0..2 * num as usize {
+            let (p, cc) = (v / 2, v % 2);
+            let (row, col) =
+                if trans { (2 * (li % 4) + cc, li / 4) } else { (li / 4, 2 * (li % 4) + cc) };
+            sv.push(sa.at(old, (p * 8 + row) * sper as usize + col) as u32);
+            dv.push(da.at(old, li * dper as usize + v) as u32);
+        }
+    }
+    Some(OTp::Copy {
+        src,
+        dst,
+        sa: classify_flat(&sv, g),
+        da: classify_flat(&dv, g),
+        n: u32::try_from(n).expect("ldmatrix width fits u32"),
+    })
+}
+
+/// Optimizes a trace: classify every gather span (composing full-warp
+/// ldmatrix and MMA steps first), fuse adjacent chained steps, drop
+/// dead fills. Spans that are already affine are kept, so optimizing an
+/// optimized trace is harmless.
 ///
 /// The result replays bit-identically to the input trace: descriptors
 /// reproduce the exact recorded addresses (classification verifies
 /// every element), fusion preserves element order, and a dead fill is
 /// only removed when the buffer is fully overwritten before any read.
 #[must_use]
-pub fn optimize_trace(trace: &Trace) -> OptTrace {
-    let mut stats = OptStats {
-        steps_before: trace.steps.len(),
-        addrs_before: trace.addrs.len(),
-        bytes_before: trace.resident_bytes(),
-        ..OptStats::default()
-    };
+pub fn optimize_trace(trace: &OptTrace) -> OptTrace {
+    let mut stats = trace.stats;
     let mut steps: Vec<OTp> = Vec::with_capacity(trace.steps.len());
     let mut gather: Vec<u32> = Vec::new();
     let mut blocks: Vec<(u32, u32)> = Vec::with_capacity(trace.blocks.len());
-    let ar = &trace.addrs;
-    let sl = |start: u32, n: u32| &ar[start as usize..(start + n) as usize];
+    let old = &trace.gather;
     let mut block_steps: Vec<OTp> = Vec::new();
     for &(bs, be) in &trace.blocks {
         block_steps.clear();
         for step in &trace.steps[bs as usize..be as usize] {
             let g = &mut gather;
-            let ot = match *step {
-                TOp::Fill { buf } => OTp::Fill { buf },
-                TOp::Copy { src, dst, sa, da, n } => OTp::Copy {
-                    src,
-                    dst,
-                    sa: classify_flat(sl(sa, n), g),
-                    da: classify_flat(sl(da, n), g),
-                    n,
-                },
-                TOp::Unary { op, src, dst, sa, da, n } => OTp::Unary {
-                    op,
-                    src,
-                    dst,
-                    sa: classify_flat(sl(sa, n), g),
-                    da: classify_flat(sl(da, n), g),
-                    n,
-                },
-                TOp::Binary { op, a, b, dst, aa, ba, da, n } => OTp::Binary {
-                    op,
-                    a,
-                    b,
-                    dst,
-                    aa: classify_flat(sl(aa, n), g),
-                    ba: classify_flat(sl(ba, n), g),
-                    da: classify_flat(sl(da, n), g),
-                    n,
-                },
-                TOp::Fma { a, b, c, aa, ba, ca, n } => OTp::Fma {
-                    a,
-                    b,
-                    c,
-                    aa: classify_flat(sl(aa, n), g),
-                    ba: classify_flat(sl(ba, n), g),
-                    ca: classify_flat(sl(ca, n), g),
-                    n,
-                },
-                TOp::Init { value, dst, da, n } => {
-                    OTp::Init { value, dst, da: classify_flat(sl(da, n), g), n }
-                }
-                TOp::Reduce { op, src, dst, sa, da, groups, per } => OTp::Reduce {
-                    op,
-                    src,
-                    dst,
-                    sa: classify_lanes(sl(sa, groups * per), groups as usize, per as usize, g),
-                    da: classify_flat(sl(da, groups), g),
-                    groups,
-                    per,
-                },
-                // The ldmatrix load/shuffle/store is a fixed permutation:
-                // store (li, v) takes matrix element (p=v/2, c=v%2,
-                // row/col from `trans`), which was loaded from source
-                // lane p*8+row element col. Composing it at optimize
-                // time turns the whole collective into one flat permuted
-                // copy the bulk arms (and the classifier) can chew on.
-                // Same-buffer steps keep the two-phase lane form: a
-                // fused copy would interleave loads with stores.
-                TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } if src != dst => {
-                    let numu = num as usize;
-                    let n = lanes as usize * 2 * numu;
-                    let mut sv = Vec::with_capacity(n);
-                    let mut dv = Vec::with_capacity(n);
-                    for li in 0..lanes as usize {
-                        for v in 0..2 * numu {
-                            let (p, cc) = (v / 2, v % 2);
-                            let (row, col) = if trans {
-                                (2 * (li % 4) + cc, li / 4)
-                            } else {
-                                (li / 4, 2 * (li % 4) + cc)
-                            };
-                            sv.push(ar[sa as usize + (p * 8 + row) * sper as usize + col]);
-                            dv.push(ar[da as usize + li * dper as usize + v]);
+            let ot = match mma_dense(step, old, g).or_else(|| ldmatrix_copy(step, old, g)) {
+                Some(ot) => ot,
+                None => {
+                    let mut ot = *step;
+                    ot.spans_mut(|_, span, lanes, per, _| {
+                        if let Span::Gather { start } = *span {
+                            let run = &old[start as usize..start as usize + (lanes * per) as usize];
+                            *span = classify(run, lanes as usize, per as usize, g);
                         }
-                    }
-                    OTp::Copy {
-                        src,
-                        dst,
-                        sa: classify_flat(&sv, g),
-                        da: classify_flat(&dv, g),
-                        n: u32::try_from(n).expect("ldmatrix width fits u32"),
-                    }
+                    });
+                    ot
                 }
-                TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } => {
-                    OTp::LdMatrix {
-                        num,
-                        trans,
-                        src,
-                        dst,
-                        sa: classify_lanes(sl(sa, lanes * sper), lanes as usize, sper as usize, g),
-                        sper,
-                        da: classify_lanes(sl(da, lanes * dper), lanes as usize, dper as usize, g),
-                        dper,
-                        lanes,
-                    }
-                }
-                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    match mma_dense(ar, true, (a, b, c), (aa, aper, ba, bper, ca, cper), lanes, g) {
-                        Some(ot) => ot,
-                        None => OTp::Mma16816 {
-                            a,
-                            b,
-                            c,
-                            aa: classify_lanes(
-                                sl(aa, lanes * aper),
-                                lanes as usize,
-                                aper as usize,
-                                g,
-                            ),
-                            aper,
-                            ba: classify_lanes(
-                                sl(ba, lanes * bper),
-                                lanes as usize,
-                                bper as usize,
-                                g,
-                            ),
-                            bper,
-                            ca: classify_lanes(
-                                sl(ca, lanes * cper),
-                                lanes as usize,
-                                cper as usize,
-                                g,
-                            ),
-                            cper,
-                            lanes,
-                        },
-                    }
-                }
-                TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    match mma_dense(ar, false, (a, b, c), (aa, aper, ba, bper, ca, cper), lanes, g)
-                    {
-                        Some(ot) => ot,
-                        None => OTp::Mma884 {
-                            a,
-                            b,
-                            c,
-                            aa: classify_lanes(
-                                sl(aa, lanes * aper),
-                                lanes as usize,
-                                aper as usize,
-                                g,
-                            ),
-                            aper,
-                            ba: classify_lanes(
-                                sl(ba, lanes * bper),
-                                lanes as usize,
-                                bper as usize,
-                                g,
-                            ),
-                            bper,
-                            ca: classify_lanes(
-                                sl(ca, lanes * cper),
-                                lanes as usize,
-                                cper as usize,
-                                g,
-                            ),
-                            cper,
-                            lanes,
-                        },
-                    }
-                }
-                TOp::Shfl { mask, src, dst, sa, da, lanes } => OTp::Shfl {
-                    mask,
-                    src,
-                    dst,
-                    sa: classify_flat(sl(sa, lanes), g),
-                    da: classify_flat(sl(da, lanes), g),
-                    lanes,
-                },
             };
             block_steps.push(ot);
         }
@@ -864,9 +769,7 @@ pub fn optimize_trace(trace: &Trace) -> OptTrace {
         let end = u32::try_from(steps.len()).expect("optimized trace exceeds u32 steps");
         blocks.push((start, end));
     }
-    stats.steps_after = steps.len();
-    stats.gather_addrs = gather.len();
-    let mut opt = OptTrace {
+    OptTrace {
         steps,
         gather,
         blocks,
@@ -875,9 +778,8 @@ pub fn optimize_trace(trace: &Trace) -> OptTrace {
         params: trace.params.clone(),
         counters: trace.counters,
         stats,
-    };
-    opt.stats.bytes_after = opt.resident_bytes();
-    opt
+    }
+    .seal()
 }
 
 /// Records `plan` once and optimizes the trace in the same pass — the
@@ -897,30 +799,53 @@ pub fn record_opt_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::replay_opt;
+    use crate::replay::{replay_opt, replay_opt_with};
+    use crate::run::ExecMode;
     use graphene_ir::tensor::TensorId;
     use std::collections::HashMap;
 
-    /// A two-buffer trace (global `out` of `len`, scratch of `len`)
-    /// with the given steps and arena, as one block.
-    fn plant(steps: Vec<TOp>, addrs: Vec<u32>, len: usize) -> Trace {
-        let n = steps.len() as u32;
-        Trace {
+    /// A gather span at arena offset `start`, as the recorder emits.
+    fn gat(start: u32) -> Span {
+        Span::Gather { start }
+    }
+
+    /// A raw two-buffer trace (global `out` of `len`, scratch of `len`)
+    /// with one step list per block over the shared arena `addrs`.
+    fn plant_blocks(blocks: Vec<Vec<OTp>>, addrs: Vec<u32>, len: usize) -> OptTrace {
+        let mut steps = Vec::new();
+        let mut ranges = Vec::new();
+        for b in blocks {
+            let start = steps.len() as u32;
+            steps.extend(b);
+            ranges.push((start, steps.len() as u32));
+        }
+        OptTrace {
             steps,
-            addrs,
-            blocks: vec![(0, n)],
+            gather: addrs,
+            blocks: ranges,
             buf_lens: vec![len, len],
             n_globals: 1,
             params: vec![(TensorId(0), "out".to_string(), len)],
             counters: Counters::default(),
+            stats: OptStats::default(),
         }
+        .seal_raw()
+    }
+
+    /// [`plant_blocks`] as one block.
+    fn plant(steps: Vec<OTp>, addrs: Vec<u32>, len: usize) -> OptTrace {
+        plant_blocks(vec![steps], addrs, len)
+    }
+
+    fn copy(sa: u32, da: u32, n: u32) -> OTp {
+        OTp::Copy { src: 0, dst: 1, sa: gat(sa), da: gat(da), n }
     }
 
     #[test]
     fn fully_affine_trace_drops_its_arena() {
         // scratch[i] = out[i] for i in 0..64 — contiguous both sides.
         let addrs: Vec<u32> = (0..64).chain(0..64).collect();
-        let t = plant(vec![TOp::Copy { src: 0, dst: 1, sa: 0, da: 64, n: 64 }], addrs, 64);
+        let t = plant(vec![copy(0, 64, 64)], addrs, 64);
         let o = optimize_trace(&t);
         assert_eq!(o.gather.len(), 0, "affine slices must not reach the gather arena");
         assert!(matches!(
@@ -941,7 +866,7 @@ mod tests {
         let perm: Vec<u32> = vec![0, 3, 1, 2, 7, 4, 6, 5];
         let mut addrs = perm.clone();
         addrs.extend(&perm);
-        let t = plant(vec![TOp::Copy { src: 0, dst: 1, sa: 0, da: 8, n: 8 }], addrs.clone(), 8);
+        let t = plant(vec![copy(0, 8, 8)], addrs.clone(), 8);
         let o = optimize_trace(&t);
         assert_eq!(o.gather, addrs, "irregular slices must be preserved verbatim");
         assert!(matches!(
@@ -956,7 +881,7 @@ mod tests {
         // Contiguous source, permuted destination.
         let mut addrs: Vec<u32> = (0..8).collect();
         addrs.extend([0u32, 3, 1, 2, 7, 4, 6, 5]);
-        let t = plant(vec![TOp::Copy { src: 0, dst: 1, sa: 0, da: 8, n: 8 }], addrs, 8);
+        let t = plant(vec![copy(0, 8, 8)], addrs, 8);
         let o = optimize_trace(&t);
         assert!(matches!(
             o.steps[0],
@@ -985,14 +910,7 @@ mod tests {
     #[test]
     fn adjacent_chained_copies_fuse() {
         let addrs: Vec<u32> = (0..4).chain(0..4).chain(4..8).chain(4..8).collect();
-        let t = plant(
-            vec![
-                TOp::Copy { src: 0, dst: 1, sa: 0, da: 4, n: 4 },
-                TOp::Copy { src: 0, dst: 1, sa: 8, da: 12, n: 4 },
-            ],
-            addrs,
-            8,
-        );
+        let t = plant(vec![copy(0, 4, 4), copy(8, 12, 4)], addrs, 8);
         let o = optimize_trace(&t);
         assert_eq!(o.steps.len(), 1, "chained copies must fuse");
         assert!(matches!(o.steps[0], OTp::Copy { n: 8, .. }));
@@ -1004,7 +922,7 @@ mod tests {
         // Fill scratch; then init fully overwrites it before any read.
         let addrs: Vec<u32> = (0..8).collect();
         let t = plant(
-            vec![TOp::Fill { buf: 1 }, TOp::Init { value: 2.5, dst: 1, da: 0, n: 8 }],
+            vec![OTp::Fill { buf: 1 }, OTp::Init { value: 2.5, dst: 1, da: gat(0), n: 8 }],
             addrs,
             8,
         );
@@ -1018,7 +936,7 @@ mod tests {
         // Fill scratch; copy reads scratch into out: fill is live.
         let addrs: Vec<u32> = (0..8).chain(0..8).collect();
         let t = plant(
-            vec![TOp::Fill { buf: 1 }, TOp::Copy { src: 1, dst: 0, sa: 0, da: 8, n: 8 }],
+            vec![OTp::Fill { buf: 1 }, OTp::Copy { src: 1, dst: 0, sa: gat(0), da: gat(8), n: 8 }],
             addrs,
             8,
         );
@@ -1039,15 +957,15 @@ mod tests {
         addrs.extend(0..8u32); // da of binary: out
         let t = plant(
             vec![
-                TOp::Copy { src: 0, dst: 1, sa: 0, da: 8, n: 8 },
-                TOp::Binary {
+                copy(0, 8, 8),
+                OTp::Binary {
                     op: graphene_ir::ops::BinaryOp::Add,
                     a: 1,
                     b: 1,
                     dst: 0,
-                    aa: 16,
-                    ba: 24,
-                    da: 32,
+                    aa: gat(16),
+                    ba: gat(24),
+                    da: gat(32),
                     n: 8,
                 },
             ],
@@ -1067,5 +985,40 @@ mod tests {
             assert_eq!(w.to_bits(), g.to_bits(), "optimized replay must be bit-exact");
         }
         assert_eq!(opt.counters, t.counters);
+    }
+
+    /// Blocks owned by different workers write the same global address,
+    /// and a later block writes back the address's starting value: the
+    /// merge must keep the last write in block order, not diff workers
+    /// against the starting buffers.
+    #[test]
+    fn workers_merge_overlapping_global_writes_in_block_order() {
+        let init = |da: u32, n: u32, value: f32| OTp::Init { value, dst: 0, da: gat(da), n };
+        // out starts [1, 2, 3, 4]. Block 0 writes out[0..2], block 2
+        // out[1..3], block 3 restores out[0], block 4 restores out[2].
+        let t = plant_blocks(
+            vec![
+                vec![init(0, 2, 7.0)],
+                vec![],
+                vec![init(2, 2, 9.0)],
+                vec![init(4, 1, 1.0)],
+                vec![init(5, 1, 3.0)],
+                vec![init(6, 1, 5.0)],
+            ],
+            vec![0, 1, 1, 2, 0, 2, 3],
+            4,
+        );
+        let inputs: HashMap<TensorId, Vec<f32>> = [(TensorId(0), vec![1.0, 2.0, 3.0, 4.0])].into();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for trace in [&t, &optimize_trace(&t)] {
+            for mode in [ExecMode::Sequential, ExecMode::Workers(2), ExecMode::Workers(3)] {
+                let out = replay_opt_with(trace, &inputs, mode).expect("replay");
+                assert_eq!(
+                    bits(&out.globals[&TensorId(0)]),
+                    bits(&[1.0, 9.0, 3.0, 5.0]),
+                    "{mode:?}"
+                );
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Golden equivalence tests for the execution engines: for every paper
-//! kernel, sequential plan execution, parallel plan execution,
+//! kernel, sequential plan execution, parallel plan execution, raw and
 //! optimized trace replay, and the original reference interpreter must
 //! produce bit-identical global buffers and identical counters.
 
@@ -15,8 +15,8 @@ use graphene::sim::{
 use std::collections::HashMap;
 
 /// Runs `kernel` through every engine — sequential / parallel / forced
-/// 3-worker plan execution and optimized trace replay (sequential and
-/// threaded) — and asserts bit-identical globals and identical counters
+/// 3-worker plan execution and raw and optimized trace replay
+/// (sequential and threaded) — and asserts bit-identical globals and identical counters
 /// against the reference interpreter.
 fn assert_equivalent(
     name: &str,
@@ -29,7 +29,7 @@ fn assert_equivalent(
         .unwrap_or_else(|e| panic!("{name}: sequential execution failed: {e}"));
     let par = execute_with(kernel, arch, inputs, &bindings, ExecMode::Parallel)
         .unwrap_or_else(|e| panic!("{name}: parallel execution failed: {e}"));
-    // Explicit worker counts force the threaded write-log merge even on
+    // Explicit worker counts force the threaded copy-out merge even on
     // machines that report a single core, including uneven block/worker
     // chunking.
     let forced = execute_with(kernel, arch, inputs, &bindings, ExecMode::Workers(3))
@@ -37,11 +37,16 @@ fn assert_equivalent(
     let reference = execute_reference(kernel, arch, inputs)
         .unwrap_or_else(|e| panic!("{name}: reference execution failed: {e}"));
 
-    // Optimized replay of one recording in both threading modes. The
-    // optimizer must be a pure representation change: same globals,
+    // Replay of one recording, raw and optimized, in both threading
+    // modes. The raw replay checks the recorder without the optimizer;
+    // the optimizer must be a pure representation change: same globals,
     // bit for bit, same counters.
     let plan = KernelPlan::compile(kernel, arch).unwrap_or_else(|e| panic!("{name}: plan: {e}"));
     let raw = record_trace(&plan, &bindings).unwrap_or_else(|e| panic!("{name}: record: {e}"));
+    let raw_seq = replay_opt_with(&raw, inputs, ExecMode::Sequential)
+        .unwrap_or_else(|e| panic!("{name}: raw replay failed: {e}"));
+    let raw_par = replay_opt_with(&raw, inputs, ExecMode::Workers(3))
+        .unwrap_or_else(|e| panic!("{name}: raw 3-worker replay failed: {e}"));
     let opt = optimize_trace(&raw);
     let opt_seq = replay_opt_with(&opt, inputs, ExecMode::Sequential)
         .unwrap_or_else(|e| panic!("{name}: opt replay failed: {e}"));
@@ -54,6 +59,8 @@ fn assert_equivalent(
             ("sequential", &seq.globals[id]),
             ("parallel", &par.globals[id]),
             ("3 workers", &forced.globals[id]),
+            ("raw replay", &raw_seq.globals[id]),
+            ("raw replay, 3 workers", &raw_par.globals[id]),
             ("opt replay", &opt_seq.globals[id]),
             ("opt replay, 3 workers", &opt_par.globals[id]),
         ] {
@@ -70,6 +77,7 @@ fn assert_equivalent(
     assert_eq!(seq.counters, reference.counters, "{name}: sequential counters");
     assert_eq!(par.counters, reference.counters, "{name}: parallel counters");
     assert_eq!(forced.counters, reference.counters, "{name}: 3-worker counters");
+    assert_eq!(raw_seq.counters, reference.counters, "{name}: raw replay counters");
     assert_eq!(opt_seq.counters, reference.counters, "{name}: opt replay counters");
 }
 

@@ -94,13 +94,16 @@ fn parallel_graph_execution_is_bit_identical_to_sequential() {
     let eg = lower_executable(&g, Arch::Sm86, ExecLowering::Fused).expect("lowers");
     let inputs = random_inputs(&eg);
     let seq = execute_graph(&eg, &inputs, ExecMode::Sequential).expect("sequential");
-    let par = execute_graph(&eg, &inputs, ExecMode::Parallel).expect("parallel");
-    assert_eq!(bits(&seq.outputs), bits(&par.outputs));
-
     let traces = TraceCache::new();
     let gt = record_graph(&eg, &traces).expect("records");
-    let par_replay = replay_graph(&gt, &inputs, ExecMode::Parallel).expect("parallel replay");
-    assert_eq!(bits(&seq.outputs), bits(&par_replay.outputs));
+    // `Workers(3)` forces the threaded merge even where `Parallel` falls
+    // back to sequential (a single-core machine).
+    for mode in [ExecMode::Parallel, ExecMode::Workers(3)] {
+        let par = execute_graph(&eg, &inputs, mode).expect("parallel");
+        assert_eq!(bits(&seq.outputs), bits(&par.outputs), "{mode:?}");
+        let par_replay = replay_graph(&gt, &inputs, mode).expect("parallel replay");
+        assert_eq!(bits(&seq.outputs), bits(&par_replay.outputs), "{mode:?} replay");
+    }
 }
 
 #[test]
