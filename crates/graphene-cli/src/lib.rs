@@ -330,14 +330,17 @@ fn exec_run(cli: &Cli) -> Result<String, CliError> {
 }
 
 /// Renders one trace-optimizer stats line (`run --exec replay` and
-/// `run-graph --exec replay` share the format).
+/// `run-graph --exec replay` share the format). Optimization can grow a
+/// trace (MMA composition does), which prints as "larger".
 fn opt_stats_line(st: &OptStats) -> String {
+    let saved = st.bytes_saved_fraction() * 100.0;
+    let change =
+        if saved < 0.0 { format!("{:.1}% larger", -saved) } else { format!("{saved:.1}% smaller") };
     format!(
-        "trace-opt : {:.1}% coalesced, {} -> {} trace bytes ({:.1}% smaller), {} -> {} steps ({} dead fills, {} fused)",
+        "trace-opt : {:.1}% coalesced, {} -> {} trace bytes ({change}), {} -> {} steps ({} dead fills, {} fused)",
         st.coalesced_fraction() * 100.0,
         st.bytes_before,
         st.bytes_after,
-        st.bytes_saved_fraction() * 100.0,
         st.steps_before,
         st.steps_after,
         st.dead_fills,
@@ -1053,6 +1056,29 @@ mod run_tests {
         assert!(rep.contains("1 hit(s)"), "{rep}");
         assert!(rep.contains("re-interpretations : 0"), "{rep}");
         assert_eq!(checksum(&seq), checksum(&rep));
+    }
+
+    /// A trace the optimizer grew prints "larger", never a negative
+    /// "smaller".
+    #[test]
+    fn opt_stats_line_names_growth_and_shrinkage() {
+        let st = |bytes_before, bytes_after| OptStats {
+            steps_before: 10,
+            steps_after: 8,
+            addrs_before: 100,
+            gather_addrs: 25,
+            dead_fills: 1,
+            fused_steps: 2,
+            bytes_before,
+            bytes_after,
+        };
+        assert_eq!(
+            opt_stats_line(&st(1000, 4310)),
+            "trace-opt : 75.0% coalesced, 1000 -> 4310 trace bytes (331.0% larger), \
+             10 -> 8 steps (1 dead fills, 2 fused)"
+        );
+        assert!(opt_stats_line(&st(1000, 400)).contains("1000 -> 400 trace bytes (60.0% smaller)"));
+        assert!(opt_stats_line(&st(1000, 1000)).contains("(0.0% smaller)"));
     }
 }
 

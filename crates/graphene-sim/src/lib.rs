@@ -32,9 +32,10 @@
 //! On top of the compiled engine sits record-once/replay-many
 //! execution — the CUDA-graph analog: [`record_trace`] captures one
 //! instrumented run as a flat straight-line program ([`trace`]), an
-//! [`OptTrace`] whose operands are raw gather spans; the trace
-//! optimizer ([`optimize_trace`], [`trace_opt`]) rewrites those spans
-//! into compact affine descriptors, and [`replay_opt`](replay_opt())
+//! [`OptTrace`] whose operands are classified into compact affine
+//! descriptors as they are recorded; the trace optimizer
+//! ([`optimize_trace`], [`trace_opt`]) composes collectives and fuses
+//! steps, and [`replay_opt`](replay_opt())
 //! re-runs either form against
 //! fresh inputs with no dispatch, no symbolic environment and no
 //! address emission, contiguous steps at memcpy speed. A

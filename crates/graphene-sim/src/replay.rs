@@ -405,6 +405,28 @@ impl OptCta<'_> {
         }
     }
 
+    /// Butterfly shuffle over at most a warp (recorded groups passed the
+    /// executor's warp bound). Out of line, like `mma_dense`, so its lane
+    /// buffer stays out of `replay_block`'s frame.
+    #[inline(never)]
+    fn shfl(
+        &mut self,
+        mask: u32,
+        (src, dst): (u32, u32),
+        (sa, da): (Span, Span),
+        lanes: usize,
+        g: &[u32],
+    ) {
+        let mut vals = [0.0f32; 32];
+        for (li, v) in vals.iter_mut().enumerate().take(lanes) {
+            *v = self.get(src, sa.at(g, li));
+        }
+        for li in 0..lanes {
+            let peer = li ^ mask as usize;
+            self.put(dst, da.at(g, li), vals[peer % lanes]);
+        }
+    }
+
     /// Disjoint `(&src, &mut dst)` buffer views; `src != dst`.
     #[inline]
     fn pair(&mut self, src: u32, dst: u32) -> (&[f32], &mut [f32]) {
@@ -672,13 +694,7 @@ impl OptCta<'_> {
                     }
                 }
                 OTp::Shfl { mask, src, dst, sa, da, lanes } => {
-                    let lanes = lanes as usize;
-                    let vals: Vec<f32> = (0..lanes).map(|li| self.get(src, sa.at(g, li))).collect();
-                    for li in 0..lanes {
-                        let peer = li ^ mask as usize;
-                        let v = vals[peer % vals.len()];
-                        self.put(dst, da.at(g, li), v);
-                    }
+                    self.shfl(mask, (src, dst), (sa, da), lanes as usize, g);
                 }
             }
         }

@@ -129,57 +129,68 @@ pub(crate) fn bind_inputs(
         .collect()
 }
 
+/// Splits blocks `0..grid` into one contiguous, ascending chunk per
+/// worker of `mode` and runs `f` on each chunk, a lone chunk on the
+/// calling thread. Results come back in chunk order, which is block
+/// order. This is the one fan-out behind the plan engine, replay,
+/// recording and optimization.
+pub(crate) fn run_chunks<T: Send>(
+    grid: usize,
+    mode: ExecMode,
+    f: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    let chunk = grid.div_ceil(mode.workers(grid)).max(1);
+    let chunks: Vec<Range<usize>> =
+        (0..grid).step_by(chunk).map(|b| b..(b + chunk).min(grid)).collect();
+    if chunks.len() <= 1 {
+        return vec![f(0..grid)];
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = chunks.into_iter().map(|blocks| s.spawn(move || f(blocks))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
 /// Runs blocks `0..grid` under `mode`, each worker built by `new` from
 /// its own copy of the initial globals `init`. Returns the merged
 /// globals and the workers, in block order (for their counters).
 ///
-/// Each worker runs one contiguous chunk of blocks, so merging the
-/// workers' write sets in worker order replays every address's last
-/// write in block order. When several blocks fail, the failure of the
-/// lowest block id is returned, as in sequential execution.
+/// Each worker runs one contiguous chunk of blocks ([`run_chunks`]), so
+/// merging the workers' write sets in worker order replays every
+/// address's last write in block order. When several blocks fail, the
+/// failure of the lowest block id is returned, as in sequential
+/// execution.
 pub(crate) fn run_grid<R: BlockRunner>(
     grid: usize,
     mode: ExecMode,
     init: Vec<Vec<f32>>,
     new: impl Fn(Vec<Vec<f32>>) -> R + Sync,
 ) -> Result<(Vec<Vec<f32>>, Vec<R>), ExecError> {
-    let workers = mode.workers(grid);
-    if workers == 1 {
+    if mode.workers(grid) == 1 {
         let mut r = new(init);
         for b in 0..grid {
             r.run_block(b)?;
         }
         return Ok((r.take_globals(), vec![r]));
     }
-    let chunk = grid.div_ceil(workers);
-    let chunks: Vec<Range<usize>> =
-        (0..grid).step_by(chunk).map(|b| b..(b + chunk).min(grid)).collect();
-    let (init_ref, new) = (&init, &new);
-    let done: Vec<Result<R, ExecError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .cloned()
-            .map(|blocks| {
-                s.spawn(move || {
-                    let mut r = new(init_ref.clone());
-                    for b in blocks {
-                        r.run_block(b)?;
-                    }
-                    Ok(r)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+    let init_ref = &init;
+    let done = run_chunks(grid, mode, |blocks| {
+        let mut r = new(init_ref.clone());
+        for b in blocks.clone() {
+            r.run_block(b)?;
+        }
+        Ok((r, blocks))
     });
     let mut globals = init;
     let mut runners = Vec::with_capacity(done.len());
-    for (r, blocks) in done.into_iter().zip(chunks) {
+    for d in done {
         // Chunks ascend, so the first failing worker holds the lowest
         // failing block.
-        let mut r = r?;
+        let (mut r, blocks) = d?;
         r.written(blocks).copy(&r.take_globals(), &mut globals);
         runners.push(r);
     }
@@ -572,7 +583,7 @@ impl<'p> CtaRunner<'p> {
                 // Gather the matrices: lanes 8p..8p+8 supply the 8 rows
                 // (or columns, pre-transposition the source view is
                 // still a row) of matrix p.
-                let mut mats = vec![[[0.0f32; 8]; 8]; num];
+                let mut mats = [[[0.0f32; 8]; 8]; 4];
                 for p in 0..num {
                     for r in 0..8 {
                         let li = p * 8 + r;
@@ -678,17 +689,20 @@ impl<'p> CtaRunner<'p> {
             }
 
             AtomicSemantics::ShflBfly => {
-                let vals: Result<Vec<f32>, _> = lanes
-                    .iter()
-                    .enumerate()
-                    .map(|(li, &t)| {
-                        self.read(cs.ins[0].buf, scratch.lane(scratch.ins[0], li)[0], t, "shfl src")
-                    })
-                    .collect();
-                let vals = vals?;
+                if lanes.len() > 32 {
+                    return Err(ExecError::Eval(format!(
+                        "shuffle over {} lanes exceeds a warp",
+                        lanes.len()
+                    )));
+                }
+                let mut vals = [0.0f32; 32];
+                for (li, &t) in lanes.iter().enumerate() {
+                    let s = scratch.lane(scratch.ins[0], li)[0];
+                    vals[li] = self.read(cs.ins[0].buf, s, t, "shfl src")?;
+                }
                 for (li, &t) in lanes.iter().enumerate() {
                     let peer = li ^ cs.shfl_mask as usize;
-                    let v = vals[peer % vals.len()];
+                    let v = vals[peer % lanes.len()];
                     let d = scratch.lane(scratch.outs[0], li)[0];
                     self.write(cs.outs[0].buf, d, t, v, "shfl dst")?;
                 }

@@ -10,13 +10,22 @@
 //! compiled executor and captures everything that cannot change across
 //! runs — resolved branches and loops, precomputed operand address
 //! segments, op kind and flat buffer operands per step — into an
-//! [`OptTrace`] of `OTp` steps whose operands are all gather spans
-//! into one `u32` address arena. The trace optimizer
-//! ([`crate::trace_opt`]) rewrites those spans into affine descriptors,
-//! and the replay executor ([`crate::replay`]) re-runs the
-//! straight-line program against fresh input buffers with no `CSpec`
-//! dispatch, no symbolic environment, and no per-group address
-//! emission.
+//! [`OptTrace`] of `OTp` steps. Each operand's address run is
+//! classified as it is emitted, by the optimizer's own classifier
+//! ([`crate::trace_opt`]): affine and lane-major runs become
+//! descriptors and only the irregular residue (e.g. XOR-swizzled shared
+//! memory) is stored, in one `u32` gather arena. The optimizer then
+//! composes collectives, fuses steps and drops dead fills, and the
+//! replay executor ([`crate::replay`]) re-runs the straight-line program
+//! against fresh input buffers with no `CSpec` dispatch, no symbolic
+//! environment, and no per-group address emission.
+//!
+//! Recording runs contiguous chunks of blocks on the block scheduler's
+//! workers (`run::run_chunks`) and joins their parts in block order,
+//! rebasing gather starts and step ranges. Blocks never depend on each
+//! other while recording — control flow is index-driven (below) and
+//! each block's `Alloc`s refill its buffers — so the joined trace is
+//! the sequential one, byte for byte.
 //!
 //! **Why recording with zero-filled inputs is sound:** control flow in
 //! this IR is purely *index-driven*. Guards compare index expressions
@@ -30,11 +39,12 @@
 
 use crate::exec::ExecError;
 use crate::plan::{BufRef, CSpec, KernelPlan};
-use crate::run::{AddrScratch, BlockRunner, CtaRunner};
-use crate::trace_opt::{record_opt_trace, OTp, OptStats, OptTrace, Span};
+use crate::run::{run_chunks, AddrScratch, BlockRunner, CtaRunner, ExecMode};
+use crate::trace_opt::{classify, record_opt_trace, OTp, OptTrace, Span, TracePart};
 use graphene_ir::atomic::AtomicSemantics;
 use graphene_ir::Arch;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -45,8 +55,10 @@ use std::sync::{Arc, Mutex};
 /// failing execution never leaves a partial step in a published trace.
 #[derive(Debug, Default)]
 pub(crate) struct Recorder {
-    pub(crate) steps: Vec<OTp>,
-    pub(crate) addrs: Vec<u32>,
+    /// Steps, residual arena and recorded-address count so far.
+    pub(crate) part: TracePart,
+    /// The current group's operand addresses, before classification.
+    run: Vec<u32>,
     n_globals: usize,
     n_shared: usize,
 }
@@ -54,8 +66,8 @@ pub(crate) struct Recorder {
 impl Recorder {
     pub(crate) fn new(plan: &KernelPlan) -> Self {
         Recorder {
-            steps: Vec::new(),
-            addrs: Vec::new(),
+            part: TracePart::default(),
+            run: Vec::new(),
             n_globals: plan.globals.len(),
             n_shared: plan.shared.len(),
         }
@@ -72,8 +84,9 @@ impl Recorder {
     }
 
     /// Appends `k` addresses per lane of one operand segment to the
-    /// arena, flattening register addresses to `thread * len + addr`.
-    /// Returns the gather span over the appended run.
+    /// group's run, flattening register addresses to
+    /// `thread * len + addr`. Returns a gather span over the run, which
+    /// [`record_group`](Self::record_group) classifies.
     fn push_seg(
         &mut self,
         buf: BufRef,
@@ -82,18 +95,18 @@ impl Recorder {
         seg: (usize, usize),
         k: usize,
     ) -> Span {
-        let start = u32::try_from(self.addrs.len()).expect("trace address arena exceeds u32 range");
+        let start = u32::try_from(self.run.len()).expect("group address run exceeds u32 range");
         let (s0, n) = seg;
         if buf.mem == graphene_ir::MemSpace::Register {
             for (li, &t) in lanes.iter().enumerate() {
                 let base = t * buf.len as i64;
-                self.addrs.extend(
+                self.run.extend(
                     scratch.addrs[s0 + li * n..s0 + li * n + k].iter().map(|&a| (base + a) as u32),
                 );
             }
         } else {
             for li in 0..lanes.len() {
-                self.addrs
+                self.run
                     .extend(scratch.addrs[s0 + li * n..s0 + li * n + k].iter().map(|&a| a as u32));
             }
         }
@@ -103,7 +116,7 @@ impl Recorder {
     /// Records a zero-fill of an allocated buffer.
     pub(crate) fn record_alloc(&mut self, buf: BufRef) {
         let buf = self.buf_id(buf);
-        self.steps.push(OTp::Fill { buf });
+        self.part.steps.push(OTp::Fill { buf });
     }
 
     /// Records one successfully executed warp/collective group.
@@ -112,9 +125,14 @@ impl Recorder {
     /// is irrelevant to their semantics); collective ops keep their
     /// per-lane address strides because their fragment math indexes by
     /// lane.
+    ///
+    /// Each operand run is classified as it is emitted, with the shape
+    /// [`OTp::spans_mut`] reports for it; only the irregular residue
+    /// reaches the arena.
     pub(crate) fn record_group(&mut self, cs: &CSpec, lanes: &[i64], sc: &AddrScratch) {
         let nl = lanes.len() as u32;
-        let step = match cs.semantics {
+        self.run.clear();
+        let mut step = match cs.semantics {
             AtomicSemantics::CopyPerThread | AtomicSemantics::UnaryPerThread(_) => {
                 // The executor zips src/dst per lane, so the effective
                 // per-lane count is the shorter of the two segments.
@@ -229,58 +247,96 @@ impl Recorder {
                 }
             }
         };
-        self.steps.push(step);
+        let Recorder { part, run, .. } = self;
+        step.spans_mut(|_, span, lanes, per, _| {
+            let Span::Gather { start } = *span else { unreachable!("recorded spans are runs") };
+            let n = (lanes * per) as usize;
+            part.stats.addrs_before += n;
+            *span = classify(
+                &run[start as usize..start as usize + n],
+                lanes as usize,
+                per as usize,
+                &mut part.gather,
+            );
+        });
+        part.steps.push(step);
     }
 }
 
-/// Records `plan` once into a raw [`OptTrace`]: every operand a gather
-/// span, stats reporting no optimization.
+/// Records `plan` once into a raw [`OptTrace`]: every operand classified
+/// as it was emitted, stats reporting no optimization.
 ///
-/// The recording run executes the full grid sequentially over
-/// zero-filled inputs through the instrumented compiled executor. This
-/// is sound because control flow in this IR is purely index-driven
-/// (see the module docs): the captured step sequence and addresses are
-/// valid for every input valuation.
+/// The recording runs the full grid over zero-filled inputs through the
+/// instrumented compiled executor, in contiguous chunks of blocks on
+/// parallel workers joined in block order. This is sound because control
+/// flow in this IR is purely index-driven (see the module docs): the
+/// captured step sequence and addresses are valid for every input
+/// valuation, and each block's `Alloc`s refill its buffers, so no block
+/// sees another's effect on the trace and the joined trace is the
+/// sequential one.
 ///
 /// # Errors
 ///
-/// Any [`ExecError`] the recording run hits (the trace is discarded).
+/// Any [`ExecError`] the recording run hits (the trace is discarded);
+/// when several blocks fail, the lowest block's error.
 pub fn record_trace(
     plan: &KernelPlan,
     bindings: &HashMap<String, i64>,
 ) -> Result<OptTrace, ExecError> {
-    let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
-    let mut runner = CtaRunner::new(plan, init, bindings);
-    runner.rec = Some(Recorder::new(plan));
+    record_trace_with(plan, bindings, ExecMode::Parallel)
+}
+
+/// [`record_trace`] with the worker count of `mode`.
+pub(crate) fn record_trace_with(
+    plan: &KernelPlan,
+    bindings: &HashMap<String, i64>,
+    mode: ExecMode,
+) -> Result<OptTrace, ExecError> {
     let grid = plan.grid.max(0) as usize;
-    let mut blocks = Vec::with_capacity(grid);
-    let steps = |r: &CtaRunner| {
-        let n = r.rec.as_ref().expect("recorder installed").steps.len();
-        u32::try_from(n).expect("trace exceeds u32 steps")
-    };
-    for b in 0..grid {
-        let start = steps(&runner);
-        runner.run_block(b)?;
-        blocks.push((start, steps(&runner)));
-    }
-    let mut counters = runner.counters;
+    let parts = run_chunks(grid, mode, |blocks| record_blocks(plan, bindings, blocks));
+    let part = TracePart::join(parts.into_iter().collect::<Result<_, _>>()?);
+    let mut counters = part.counters;
     counters.unique_global_read_bytes = plan.unique_read;
     counters.unique_global_write_bytes = plan.unique_written;
-    let rec = runner.rec.take().expect("recorder installed");
     let mut buf_lens: Vec<usize> = plan.globals.iter().map(|&(_, _, l)| l).collect();
     buf_lens.extend(plan.shared.iter().map(|&(_, l)| l));
     buf_lens.extend(plan.regs.iter().map(|&(_, l)| l * plan.block_threads as usize));
     Ok(OptTrace {
-        steps: rec.steps,
-        gather: rec.addrs,
-        blocks,
+        steps: part.steps,
+        gather: part.gather,
+        blocks: part.blocks,
         buf_lens,
         n_globals: plan.globals.len(),
         params: plan.globals.clone(),
         counters,
-        stats: OptStats::default(),
+        stats: part.stats,
     }
     .seal_raw())
+}
+
+/// Records the blocks `range` on one worker into a part of their own.
+fn record_blocks(
+    plan: &KernelPlan,
+    bindings: &HashMap<String, i64>,
+    range: Range<usize>,
+) -> Result<TracePart, ExecError> {
+    let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
+    let mut runner = CtaRunner::new(plan, init, bindings);
+    runner.rec = Some(Recorder::new(plan));
+    let mut blocks = Vec::with_capacity(range.len());
+    let steps = |r: &CtaRunner| {
+        let n = r.rec.as_ref().expect("recorder installed").part.steps.len();
+        u32::try_from(n).expect("trace exceeds u32 steps")
+    };
+    for b in range {
+        let start = steps(&runner);
+        runner.run_block(b)?;
+        blocks.push((start, steps(&runner)));
+    }
+    let mut part = runner.rec.take().expect("recorder installed").part;
+    part.blocks = blocks;
+    part.counters = runner.counters;
+    Ok(part)
 }
 
 /// Cache key: one trace per (kernel, problem, arch).
@@ -488,5 +544,61 @@ impl TraceCache {
     /// Whether the cache holds no traces.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace_opt::optimize_trace_with;
+    use crate::trace_opt::tests::span_addrs;
+    use graphene_ir::Kernel;
+    use graphene_kernels::gemm::{build_gemm, Epilogue, GemmConfig};
+    use graphene_kernels::layernorm::{build_layernorm, LayernormConfig};
+
+    fn assert_same(a: &OptTrace, b: &OptTrace, what: &str) {
+        assert!(a.steps == b.steps, "{what}: steps differ");
+        assert!(a.gather == b.gather, "{what}: arenas differ");
+        assert_eq!(a.blocks, b.blocks, "{what}: block table");
+        assert_eq!(a.buf_lens, b.buf_lens, "{what}: buffer table");
+        assert_eq!(a.counters, b.counters, "{what}: counters");
+        assert_eq!(a.stats, b.stats, "{what}: stats");
+    }
+
+    /// Recording and optimizing in worker chunks (even and uneven)
+    /// joins to exactly the sequential trace, and a raw trace's
+    /// `addrs_before` counts every operand address, not its arena.
+    #[test]
+    fn record_and_optimize_are_identical_for_every_worker_count() {
+        let gemm = GemmConfig {
+            m: 160,
+            n: 32,
+            k: 32,
+            bm: 32,
+            bn: 32,
+            bk: 16,
+            wm: 16,
+            wn: 16,
+            swizzle: true,
+        };
+        let kernels: [(&str, Kernel); 2] = [
+            ("swizzled gemm", build_gemm(Arch::Sm86, &gemm, Epilogue::None)),
+            ("layernorm", build_layernorm(Arch::Sm86, &LayernormConfig::new(20, 256))),
+        ];
+        let bindings = HashMap::new();
+        for (name, kernel) in &kernels {
+            let plan = KernelPlan::compile(kernel, Arch::Sm86).expect("plan");
+            assert_eq!(plan.grid, 5, "{name}: five blocks split unevenly over 2 and 3 workers");
+            let seq = record_trace_with(&plan, &bindings, ExecMode::Sequential).expect("record");
+            assert_eq!(seq.stats.addrs_before, span_addrs(&seq), "{name}: addrs_before");
+            assert!(seq.gather.len() < seq.stats.addrs_before, "{name}: nothing classified");
+            let opt = optimize_trace_with(&seq, ExecMode::Sequential);
+            for mode in [ExecMode::Workers(2), ExecMode::Workers(3)] {
+                let raw = record_trace_with(&plan, &bindings, mode).expect("record");
+                assert_same(&raw, &seq, &format!("{name}: record {mode:?}"));
+                let o = optimize_trace_with(&seq, mode);
+                assert_same(&o, &opt, &format!("{name}: optimize {mode:?}"));
+            }
+        }
     }
 }

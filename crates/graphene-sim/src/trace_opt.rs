@@ -1,35 +1,43 @@
 //! The trace step IR (`OTp` over `Span` operands, held in an
 //! [`OptTrace`]) and the trace optimizer over it.
 //!
-//! The recorder ([`crate::trace::record_trace`]) emits every operand as
-//! a `Span::Gather` run of its `u32` address arena, even though most
-//! recorded address runs in the paper's kernels are *affine* — contiguous or
-//! constant-stride, often with a regular per-lane (2D) structure. That
-//! is not an accident: under the F₂/linear-layout view of addresses,
-//! every non-swizzled operand of these kernels is a linear function of
-//! `(blockIdx, threadIdx, loop vars)`, so its recorded address slice is
-//! an arithmetic progression (or a lane-major grid of them).
+//! Most recorded address runs in the paper's kernels are *affine* —
+//! contiguous or constant-stride, often with a regular per-lane (2D)
+//! structure. That is not an accident: under the F₂/linear-layout view
+//! of addresses, every non-swizzled operand of these kernels is a
+//! linear function of `(blockIdx, threadIdx, loop vars)`, so its
+//! recorded address slice is an arithmetic progression (or a lane-major
+//! grid of them). Classification therefore happens **as the recorder
+//! emits each operand** ([`crate::trace::record_trace`] calls
+//! `classify` with the `(lanes, per)` shape `OTp::spans_mut` reports):
+//! [`Span::Affine`] `(base, stride)` for 1D progressions,
+//! [`Span::Lanes`] `(base, lane, stride, per)` for lane-major 2D grids
+//! (register files flattened to `thread*len+addr`, strided global loads,
+//! mma fragments), and [`Span::Gather`] for the residue (e.g.
+//! XOR-swizzled shared memory), the only addresses the recording stores.
 //! [`optimize_trace`] runs **once at record time** and:
 //!
-//! 1. **Classifies** each gather span by scanning its arena run:
-//!    [`Span::Affine`] `(base, stride)` for 1D progressions,
-//!    [`Span::Lanes`] `(base, lane, stride, per)` for lane-major 2D
-//!    grids (register files flattened to `thread*len+addr`, strided
-//!    global loads, mma fragments), and [`Span::Gather`] for the
-//!    residue (e.g. XOR-swizzled shared memory). Classified runs are
-//!    dropped from the arena, shrinking the resident trace — and
-//!    therefore the `TraceCache`/`GraphTraceCache` footprint. Full-warp
-//!    `ldmatrix` and MMA steps are first composed with their fragment
-//!    permutations into a flat copy and a matrix-order `OTp::MmaDense`.
+//! 1. **Composes** full-warp `ldmatrix` and MMA steps with their
+//!    fragment permutations into a flat copy and a matrix-order
+//!    `OTp::MmaDense`, classifying the composed address vectors, and
+//!    reclassifies the remaining gather spans into a compacted arena.
+//!    Composition can grow the trace: a composed fragment of a swizzled
+//!    operand is one irregular run where the lane-order step had
+//!    lane-major ones.
 //! 2. **Fuses** adjacent same-shape steps whose descriptors chain
 //!    (`base₂ = base₁ + n₁·stride`), within a block only.
 //! 3. **Eliminates dead fills**: a recorded `Alloc` zero-fill is
 //!    dropped when the first subsequent touch of that buffer inside the
 //!    same block is a write that fully overwrites it.
 //!
+//! Every step is rewritten within its own block, so recording and
+//! optimization both run contiguous chunks of blocks on parallel
+//! workers and join the `TracePart`s in block order; the result is
+//! identical to a sequential pass.
+//!
 //! One operand visitor, `OTp::spans_mut`, serves classification, the
-//! dead-fill query and the parallel replay's write set. The replay
-//! ([`crate::replay::replay_opt`]) then runs
+//! dead-fill query, the part join and the parallel replay's write set.
+//! The replay ([`crate::replay::replay_opt`]) then runs
 //! contiguous copies as `copy_from_slice`, contiguous element-wise ops
 //! as tight auto-vectorizable slice loops, strided/lane spans as
 //! stepped loops with no arena traffic, and residual gathers through
@@ -39,10 +47,12 @@
 use crate::counters::Counters;
 use crate::exec::ExecError;
 use crate::plan::KernelPlan;
+use crate::run::{run_chunks, ExecMode};
 use crate::trace::record_trace;
 use graphene_ir::ops::{BinaryOp, ReduceOp, UnaryOp};
 use graphene_ir::tensor::TensorId;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A classified operand address slice: the compact replacement for a
 /// run of arena addresses.
@@ -108,7 +118,7 @@ pub(crate) enum LaneRef<'g> {
 /// One trace step: an op kind over buffer-table indices (globals, then
 /// shared, then flattened register files), with one [`Span`] per
 /// operand; `sa(i)` below is the span's `i`-th address.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum OTp {
     /// Zero-fill buffer `buf` (a recorded `Alloc`).
     Fill { buf: u32 },
@@ -251,7 +261,8 @@ pub struct OptStats {
     pub steps_before: usize,
     /// Steps after fusion and dead-fill elimination.
     pub steps_after: usize,
-    /// Scalar addresses in the unoptimized arena.
+    /// Scalar operand addresses the recording run emitted, whether or
+    /// not they reached its arena.
     pub addrs_before: usize,
     /// Addresses that stayed irregular (the residual gather arena).
     pub gather_addrs: usize,
@@ -259,7 +270,7 @@ pub struct OptStats {
     pub dead_fills: usize,
     /// Steps merged into a predecessor by adjacent-step fusion.
     pub fused_steps: usize,
-    /// Resident payload bytes of the unoptimized trace.
+    /// Resident payload bytes of the recorded (unoptimized) trace.
     pub bytes_before: usize,
     /// Resident payload bytes of the optimized trace.
     pub bytes_after: usize,
@@ -277,7 +288,8 @@ impl OptStats {
         }
     }
 
-    /// Fraction of resident trace bytes eliminated.
+    /// Fraction of resident trace bytes eliminated; negative when
+    /// optimization grew the trace.
     #[must_use]
     pub fn bytes_saved_fraction(&self) -> f64 {
         if self.bytes_before == 0 {
@@ -290,9 +302,10 @@ impl OptStats {
 
 /// A straight-line trace: every branch resolved, every loop unrolled,
 /// every operand address precomputed. [`record_trace`] produces the
-/// raw form (all operands gather spans, stats reporting no
-/// optimization); [`optimize_trace`] the classified, fused form the
-/// [`crate::trace::TraceCache`] and graph-trace cache keep resident.
+/// raw form (operands classified, collectives in lane order, stats
+/// reporting no optimization); [`optimize_trace`] the composed, fused
+/// form the [`crate::trace::TraceCache`] and graph-trace cache keep
+/// resident.
 /// Either replays through [`crate::replay::replay_opt`].
 #[derive(Debug)]
 pub struct OptTrace {
@@ -370,20 +383,82 @@ impl OptTrace {
         self
     }
 
-    /// Seals a freshly recorded trace: its `*_before` stats describe
-    /// itself.
+    /// Seals a freshly recorded trace: its step and byte `*_before`
+    /// stats describe itself; `addrs_before` is the recorder's count.
     pub(crate) fn seal_raw(self) -> Self {
         let mut t = self.seal();
         let st = &mut t.stats;
-        (st.steps_before, st.addrs_before, st.bytes_before) =
-            (st.steps_after, st.gather_addrs, st.bytes_after);
+        (st.steps_before, st.bytes_before) = (st.steps_after, st.bytes_after);
         t
     }
 }
 
+/// The steps of a contiguous run of blocks, as one worker of
+/// [`record_trace`] or [`optimize_trace`] produces them. Gather starts
+/// index this part's own `gather` and block ranges its own `steps`.
+#[derive(Debug, Default)]
+pub(crate) struct TracePart {
+    pub(crate) steps: Vec<OTp>,
+    pub(crate) gather: Vec<u32>,
+    pub(crate) blocks: Vec<(u32, u32)>,
+    pub(crate) counters: Counters,
+    /// Only the additive counts are kept: `addrs_before`, `dead_fills`
+    /// and `fused_steps`.
+    pub(crate) stats: OptStats,
+}
+
+impl TracePart {
+    /// Joins parts given in block order. The first part's arena grows in
+    /// place and each later part is dropped once appended, so no arena
+    /// is ever held twice. Identical to the part one worker would have
+    /// produced for all the blocks: its arena runs were appended in step
+    /// order.
+    ///
+    /// The step list (tens of MB at catalog sizes, against hundreds for
+    /// an arena) is copied once into an exactly sized `Vec` allocated by
+    /// the calling thread. The trace outlives the workers; left in a
+    /// worker's glibc arena, it made the caller's later large
+    /// allocations page-fault afresh on every replay (44 MB per
+    /// 4096×1024 layernorm replay in the exec-kernels benchmark).
+    pub(crate) fn join(parts: Vec<TracePart>) -> TracePart {
+        let n_steps = parts.iter().map(|p| p.steps.len()).sum();
+        let mut parts = parts.into_iter();
+        let mut acc = parts.next().unwrap_or_default();
+        let mut steps = Vec::with_capacity(n_steps);
+        steps.append(&mut acc.steps);
+        acc.steps = steps;
+        for next in parts {
+            acc.append(next);
+        }
+        acc
+    }
+
+    fn append(&mut self, next: TracePart) {
+        let soff = u32::try_from(self.steps.len()).expect("trace exceeds u32 steps");
+        let goff = u32::try_from(self.gather.len()).expect("gather arena exceeds u32 range");
+        self.steps.extend(next.steps.into_iter().map(|mut step| {
+            step.spans_mut(|_, span, _, _, _| {
+                if let Span::Gather { start } = span {
+                    *start = start.checked_add(goff).expect("gather arena exceeds u32 range");
+                }
+            });
+            step
+        }));
+        self.gather.extend_from_slice(&next.gather);
+        let rebase = |i: u32| i.checked_add(soff).expect("trace exceeds u32 steps");
+        self.blocks.extend(next.blocks.iter().map(|&(s, e)| (rebase(s), rebase(e))));
+        self.counters.merge(&next.counters);
+        self.stats.addrs_before += next.stats.addrs_before;
+        self.stats.dead_fills += next.stats.dead_fills;
+        self.stats.fused_steps += next.stats.fused_steps;
+    }
+}
+
 /// Classifies one address run of `lanes × per` addresses (flat when
-/// `lanes == 1`), falling back to the residual gather arena.
-fn classify(addrs: &[u32], lanes: usize, per: usize, gather: &mut Vec<u32>) -> Span {
+/// `lanes == 1`), falling back to the residual gather arena. The
+/// recorder calls it on every operand as it is emitted, with the shape
+/// [`OTp::spans_mut`] reports.
+pub(crate) fn classify(addrs: &[u32], lanes: usize, per: usize, gather: &mut Vec<u32>) -> Span {
     if lanes > 1 {
         classify_lanes(addrs, lanes, per, gather)
     } else {
@@ -633,9 +708,9 @@ fn mma_dense(step: &OTp, old: &[u32], g: &mut Vec<u32>) -> Option<OTp> {
     };
     let (aper, bper, cper) = (aper as usize, bper as usize, cper as usize);
     let (m, n, k, an, bn, cn) = if m16 { (16, 8, 16, 8, 4, 4) } else { (8, 8, 4, 4, 4, 8) };
-    let mut av = vec![u32::MAX; m * k];
-    let mut bv = vec![u32::MAX; k * n];
-    let mut cv = vec![u32::MAX; m * n];
+    // Sized for m16n8k16, the larger shape.
+    let (mut av, mut bv, mut cv) = ([u32::MAX; 16 * 16], [u32::MAX; 16 * 8], [u32::MAX; 16 * 8]);
+    let (av, bv, cv) = (&mut av[..m * k], &mut bv[..k * n], &mut cv[..m * n]);
     for li in 0..lanes as usize {
         for v in 0..an {
             let (mi, ki) = if m16 { frag::mma_16816_a(li, v) } else { frag::mma_884_a(li, v) };
@@ -658,9 +733,9 @@ fn mma_dense(step: &OTp, old: &[u32], g: &mut Vec<u32>) -> Option<OTp> {
         a,
         b,
         c,
-        am: classify_flat(&av, g),
-        bm: classify_flat(&bv, g),
-        cm: classify_flat(&cv, g),
+        am: classify_flat(av, g),
+        bm: classify_flat(bv, g),
+        cm: classify_flat(cv, g),
     })
 }
 
@@ -675,26 +750,27 @@ fn ldmatrix_copy(step: &OTp, old: &[u32], g: &mut Vec<u32>) -> Option<OTp> {
     let OTp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } = *step else {
         return None;
     };
-    if src == dst {
+    // A warp has at most 32 lanes and an ldmatrix at most 4 matrices.
+    if src == dst || lanes > 32 || num > 4 {
         return None;
     }
     let n = lanes as usize * 2 * num as usize;
-    let mut sv = Vec::with_capacity(n);
-    let mut dv = Vec::with_capacity(n);
+    let (mut sv, mut dv) = ([0u32; 32 * 8], [0u32; 32 * 8]);
     for li in 0..lanes as usize {
         for v in 0..2 * num as usize {
             let (p, cc) = (v / 2, v % 2);
             let (row, col) =
                 if trans { (2 * (li % 4) + cc, li / 4) } else { (li / 4, 2 * (li % 4) + cc) };
-            sv.push(sa.at(old, (p * 8 + row) * sper as usize + col) as u32);
-            dv.push(da.at(old, li * dper as usize + v) as u32);
+            let i = li * 2 * num as usize + v;
+            sv[i] = sa.at(old, (p * 8 + row) * sper as usize + col) as u32;
+            dv[i] = da.at(old, li * dper as usize + v) as u32;
         }
     }
     Some(OTp::Copy {
         src,
         dst,
-        sa: classify_flat(&sv, g),
-        da: classify_flat(&dv, g),
+        sa: classify_flat(&sv[..n], g),
+        da: classify_flat(&dv[..n], g),
         n: u32::try_from(n).expect("ldmatrix width fits u32"),
     })
 }
@@ -702,7 +778,9 @@ fn ldmatrix_copy(step: &OTp, old: &[u32], g: &mut Vec<u32>) -> Option<OTp> {
 /// Optimizes a trace: classify every gather span (composing full-warp
 /// ldmatrix and MMA steps first), fuse adjacent chained steps, drop
 /// dead fills. Spans that are already affine are kept, so optimizing an
-/// optimized trace is harmless.
+/// optimized trace is harmless. Contiguous chunks of blocks are
+/// optimized on parallel workers and joined in block order; blocks are
+/// independent here, so the result is the sequential one.
 ///
 /// The result replays bit-identically to the input trace: descriptors
 /// reproduce the exact recorded addresses (classification verifies
@@ -710,16 +788,41 @@ fn ldmatrix_copy(step: &OTp, old: &[u32], g: &mut Vec<u32>) -> Option<OTp> {
 /// only removed when the buffer is fully overwritten before any read.
 #[must_use]
 pub fn optimize_trace(trace: &OptTrace) -> OptTrace {
+    optimize_trace_with(trace, ExecMode::Parallel)
+}
+
+/// [`optimize_trace`] with the worker count of `mode`.
+pub(crate) fn optimize_trace_with(trace: &OptTrace, mode: ExecMode) -> OptTrace {
+    let parts = run_chunks(trace.blocks.len(), mode, |blocks| optimize_blocks(trace, blocks));
+    let part = TracePart::join(parts);
     let mut stats = trace.stats;
-    let mut steps: Vec<OTp> = Vec::with_capacity(trace.steps.len());
-    let mut gather: Vec<u32> = Vec::new();
-    let mut blocks: Vec<(u32, u32)> = Vec::with_capacity(trace.blocks.len());
+    stats.dead_fills += part.stats.dead_fills;
+    stats.fused_steps += part.stats.fused_steps;
+    OptTrace {
+        steps: part.steps,
+        gather: part.gather,
+        blocks: part.blocks,
+        buf_lens: trace.buf_lens.clone(),
+        n_globals: trace.n_globals,
+        params: trace.params.clone(),
+        counters: trace.counters,
+        stats,
+    }
+    .seal()
+}
+
+/// Optimizes the blocks `range` of `trace` into a part of their own.
+fn optimize_blocks(trace: &OptTrace, range: Range<usize>) -> TracePart {
+    let blocks = &trace.blocks[range];
+    let raw_steps = blocks.last().map_or(0, |l| l.1 - blocks[0].0) as usize;
+    let mut out = TracePart { steps: Vec::with_capacity(raw_steps), ..TracePart::default() };
+    out.blocks.reserve(blocks.len());
     let old = &trace.gather;
     let mut block_steps: Vec<OTp> = Vec::new();
-    for &(bs, be) in &trace.blocks {
+    for &(bs, be) in blocks {
         block_steps.clear();
         for step in &trace.steps[bs as usize..be as usize] {
-            let g = &mut gather;
+            let g = &mut out.gather;
             let ot = match mma_dense(step, old, g).or_else(|| ldmatrix_copy(step, old, g)) {
                 Some(ot) => ot,
                 None => {
@@ -735,7 +838,7 @@ pub fn optimize_trace(trace: &OptTrace) -> OptTrace {
             };
             block_steps.push(ot);
         }
-        fuse_block(&mut block_steps, &mut stats.fused_steps);
+        fuse_block(&mut block_steps, &mut out.stats.fused_steps);
         // Dead-fill elimination, then one more fusion sweep: removing a
         // fill can make its neighbours adjacent and chainable.
         let dead: Vec<usize> = block_steps
@@ -751,7 +854,7 @@ pub fn optimize_trace(trace: &OptTrace) -> OptTrace {
             })
             .collect();
         if !dead.is_empty() {
-            stats.dead_fills += dead.len();
+            out.stats.dead_fills += dead.len();
             let mut keep = 0usize;
             let mut di = dead.iter().peekable();
             block_steps.retain(|_| {
@@ -762,24 +865,14 @@ pub fn optimize_trace(trace: &OptTrace) -> OptTrace {
                 keep += 1;
                 !drop
             });
-            fuse_block(&mut block_steps, &mut stats.fused_steps);
+            fuse_block(&mut block_steps, &mut out.stats.fused_steps);
         }
-        let start = u32::try_from(steps.len()).expect("optimized trace exceeds u32 steps");
-        steps.extend_from_slice(&block_steps);
-        let end = u32::try_from(steps.len()).expect("optimized trace exceeds u32 steps");
-        blocks.push((start, end));
+        let start = u32::try_from(out.steps.len()).expect("optimized trace exceeds u32 steps");
+        out.steps.extend_from_slice(&block_steps);
+        let end = u32::try_from(out.steps.len()).expect("optimized trace exceeds u32 steps");
+        out.blocks.push((start, end));
     }
-    OptTrace {
-        steps,
-        gather,
-        blocks,
-        buf_lens: trace.buf_lens.clone(),
-        n_globals: trace.n_globals,
-        params: trace.params.clone(),
-        counters: trace.counters,
-        stats,
-    }
-    .seal()
+    out
 }
 
 /// Records `plan` once and optimizes the trace in the same pass — the
@@ -797,7 +890,7 @@ pub fn record_opt_trace(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::replay::{replay_opt, replay_opt_with};
     use crate::run::ExecMode;
@@ -807,6 +900,16 @@ mod tests {
     /// A gather span at arena offset `start`, as the recorder emits.
     fn gat(start: u32) -> Span {
         Span::Gather { start }
+    }
+
+    /// Operand addresses over all of `t`'s spans: what the recorder
+    /// counts into `addrs_before`.
+    pub(crate) fn span_addrs(t: &OptTrace) -> usize {
+        let mut n = 0;
+        for step in &t.steps {
+            step.spans(|_, _, lanes, per, _| n += (lanes * per) as usize);
+        }
+        n
     }
 
     /// A raw two-buffer trace (global `out` of `len`, scratch of `len`)
@@ -819,7 +922,7 @@ mod tests {
             steps.extend(b);
             ranges.push((start, steps.len() as u32));
         }
-        OptTrace {
+        let mut t = OptTrace {
             steps,
             gather: addrs,
             blocks: ranges,
@@ -828,8 +931,9 @@ mod tests {
             params: vec![(TensorId(0), "out".to_string(), len)],
             counters: Counters::default(),
             stats: OptStats::default(),
-        }
-        .seal_raw()
+        };
+        t.stats.addrs_before = span_addrs(&t);
+        t.seal_raw()
     }
 
     /// [`plant_blocks`] as one block.
